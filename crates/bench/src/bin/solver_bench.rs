@@ -28,14 +28,8 @@
 //! push/pop solving vs the same exploration re-blasting every path from
 //! scratch ([`FilterExplorer`]'s `incremental(false)` differential
 //! mode). Verdicts — merged and per-path — must agree between modes;
-//! the wall ratio lands in `incremental_speedup`.
-//!
-//! A fifth measurement sweeps the parallel fork scheduler (the
-//! `paths.parallel` section): the same family batched at 1/2/4/8
-//! exploration workers. Full-report byte-identity across worker counts
-//! is asserted in-binary; the ≥2× @4-workers wall floor is asserted
-//! only when `available_parallelism()` actually provides the cores
-//! (recorded in `cores`/`timing_asserted`).
+//! the wall ratio lands in `incremental_speedup`. Exploration is
+//! sequential, so both numbers are single-core figures.
 
 use cr_core::seh::PeCode;
 use cr_image::FilterRef;
@@ -65,58 +59,6 @@ struct PathsPassStats {
     memo_hits: u64,
 }
 
-/// One worker-count level of the `paths.parallel` thread sweep.
-#[derive(serde::Serialize)]
-struct ParallelLevel {
-    jobs: usize,
-    /// Best-of-rounds wall time for the whole batched family, µs.
-    wall_us: u64,
-    solver_calls: u64,
-    memo_lookups: u64,
-    memo_hits: u64,
-    /// Scheduler tasks executed (roots + stolen subtrees).
-    tasks: u64,
-    /// Subtree hand-offs published to the shared queue.
-    published: u64,
-    /// Instructions re-executed rebuilding stolen path prefixes.
-    replay_steps: u64,
-    /// Fresh exploration instructions executed.
-    run_steps: u64,
-    /// jobs=1 wall / this level's wall (>1 = parallel faster).
-    speedup_vs_1: f64,
-}
-
-/// One measured sweep level before serialization: (jobs, best wall µs,
-/// (solver_calls, memo_lookups, memo_hits) deltas, scheduler stats,
-/// last round's reports).
-type SweepLevel = (
-    usize,
-    u64,
-    (u64, u64, u64),
-    cr_symex::ParallelStats,
-    Vec<ExplorationReport>,
-);
-
-/// The `paths.parallel` section: the same loopy family batched through
-/// the deterministic fork scheduler at 1/2/4/8 workers.
-#[derive(serde::Serialize)]
-struct ParallelReport {
-    /// `std::thread::available_parallelism()` on the recording machine
-    /// — speedups are only meaningful (and only asserted) when it
-    /// covers the worker count.
-    cores: usize,
-    rounds: usize,
-    levels: Vec<ParallelLevel>,
-    /// jobs=1 wall / jobs=4 wall.
-    parallel_speedup_4: f64,
-    /// Merged verdicts identical across every worker count.
-    verdict_parity: bool,
-    /// Full `ExplorationReport`s byte-identical across 1/2/4/8 jobs.
-    reports_byte_identical: bool,
-    /// Whether the ≥2× @4-workers floor was asserted (needs ≥4 cores).
-    timing_asserted: bool,
-}
-
 /// The `paths` section: incremental exploration vs per-path re-blast
 /// over the loopy filter family.
 #[derive(serde::Serialize)]
@@ -131,8 +73,6 @@ struct PathsReport {
     incremental_beats_independent: bool,
     /// Merged and per-path verdicts identical across both modes.
     verdict_parity: bool,
-    /// Worker thread sweep over the batched explorer.
-    parallel: ParallelReport,
 }
 
 #[derive(serde::Serialize)]
@@ -372,78 +312,6 @@ fn main() {
             paths_parity = false;
         }
     }
-    // Pass 5: the `paths.parallel` thread sweep — the same family
-    // batched through the fork scheduler at 1/2/4/8 workers. Determinism
-    // is asserted in-binary (full report equality against jobs=1);
-    // wall-clock speedup is recorded always but asserted only when the
-    // machine actually has the cores to show it.
-    eprintln!("[solver_bench] path exploration thread sweep (jobs 1/2/4/8) ...");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let entries: Vec<u64> = filter_rvas
-        .iter()
-        .map(|&rva| image.image_base + u64::from(rva))
-        .collect();
-    let sweep: Vec<SweepLevel> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&jobs| {
-            let explorer = FilterExplorer::builder().jobs(jobs).build();
-            let before = counters();
-            let mut wall = u64::MAX;
-            let mut last = None;
-            for _ in 0..rounds {
-                cr_symex::reset_query_memo();
-                let start = Instant::now();
-                let out = explorer.explore_batch(&pe_code, &entries);
-                wall = wall.min(start.elapsed().as_micros() as u64);
-                last = Some(out);
-            }
-            let (reports, stats) = last.expect("rounds >= 1");
-            (jobs, wall, delta(before), stats, reports)
-        })
-        .collect();
-    let (base_wall, base_reports) = (sweep[0].1, &sweep[0].4);
-    let mut sweep_parity = true;
-    let mut byte_identical = true;
-    for (jobs, _, _, _, reports) in &sweep[1..] {
-        if reports
-            .iter()
-            .zip(base_reports.iter())
-            .any(|(a, b)| a.verdict != b.verdict)
-        {
-            eprintln!("[solver_bench] PARALLEL PARITY FAILURE at jobs={jobs}");
-            sweep_parity = false;
-        }
-        if reports != base_reports {
-            eprintln!("[solver_bench] PARALLEL DETERMINISM FAILURE at jobs={jobs}");
-            byte_identical = false;
-        }
-    }
-    let wall_at = |jobs: usize| sweep.iter().find(|l| l.0 == jobs).map_or(u64::MAX, |l| l.1);
-    let parallel_speedup_4 = base_wall as f64 / wall_at(4).max(1) as f64;
-    let timing_asserted = cores >= 4;
-    let parallel_report = ParallelReport {
-        cores,
-        rounds,
-        levels: sweep
-            .iter()
-            .map(|(jobs, wall, d, stats, _)| ParallelLevel {
-                jobs: *jobs,
-                wall_us: *wall,
-                solver_calls: d.0,
-                memo_lookups: d.1,
-                memo_hits: d.2,
-                tasks: stats.tasks,
-                published: stats.published,
-                replay_steps: stats.replay_steps,
-                run_steps: stats.run_steps,
-                speedup_vs_1: base_wall as f64 / (*wall).max(1) as f64,
-            })
-            .collect(),
-        parallel_speedup_4,
-        verdict_parity: sweep_parity,
-        reports_byte_identical: byte_identical,
-        timing_asserted,
-    };
 
     let paths_stats = |wall: u64, d: (u64, u64, u64)| PathsPassStats {
         wall_us: wall,
@@ -460,7 +328,6 @@ fn main() {
         incremental_speedup: ind_wall as f64 / inc_wall.max(1) as f64,
         incremental_beats_independent: inc_wall < ind_wall,
         verdict_parity: paths_parity,
-        parallel: parallel_report,
     };
 
     let mut sat = 0;
@@ -538,29 +405,4 @@ fn main() {
         report.paths.verdict_parity,
         "incremental and independent exploration must agree on every path verdict"
     );
-    assert!(
-        report.paths.parallel.verdict_parity,
-        "parallel exploration must agree with sequential on every merged verdict"
-    );
-    assert!(
-        report.paths.parallel.reports_byte_identical,
-        "exploration reports must be byte-identical across jobs 1/2/4/8"
-    );
-    // Wall-clock floors are hardware-dependent: on a box with <4 cores a
-    // 4-worker sweep cannot beat sequential, so the ≥2× floor is only a
-    // hard assert when the parallelism exists (`timing_asserted` records
-    // which regime produced the JSON).
-    if report.paths.parallel.timing_asserted {
-        assert!(
-            report.paths.parallel.parallel_speedup_4 >= 2.0,
-            "4-worker exploration must be >=2x sequential on a >=4-core machine \
-             (got {:.2})",
-            report.paths.parallel.parallel_speedup_4
-        );
-    } else {
-        eprintln!(
-            "[solver_bench] {} core(s): recording parallel_speedup_4={:.2} without asserting the 2x floor",
-            report.paths.parallel.cores, report.paths.parallel.parallel_speedup_4
-        );
-    }
 }

@@ -29,7 +29,7 @@ use crate::pool::{run_pool, PoolConfig, TaskCtx, DEFAULT_DEADLINE_MS};
 use crate::spec::{CampaignSpec, CampaignTask, TaskKind};
 use cr_arena::{ArenaConfig, ArenaSummary};
 use cr_chaos::{FaultInjector, FaultKind, Site};
-use cr_core::seh::{self, analyze_module_cached, analyze_module_cached_jobs, NoCache};
+use cr_core::seh::{self, analyze_module_cached, NoCache};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -40,12 +40,6 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Worker threads (1 = serial).
     pub jobs: usize,
-    /// Exploration worker threads inside each symex (SEH) task: the
-    /// module's uncached filters are batched through one parallel
-    /// explorer call instead of explored one at a time. Reports and
-    /// verdicts are byte-identical at any value (canonical-merge
-    /// contract); 1 = the serial explorer.
-    pub symex_jobs: usize,
     /// Extra attempts for a failing task.
     pub retries: u32,
     /// Cache directory; `None` keeps the cache in memory only.
@@ -72,7 +66,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             jobs: 1,
-            symex_jobs: 1,
             retries: 1,
             cache_dir: None,
             deadline_ms: Some(DEFAULT_DEADLINE_MS),
@@ -284,7 +277,7 @@ pub fn run_campaign_with_cache(
         // only when the attempt returns normally.
         let mut span = cr_trace::span(cr_trace::Stage::Schedule, "attempt");
         span.set_detail(|| labels[ctx.index].0.clone());
-        let outcome = execute_task(&spec.tasks[ctx.index], cache, injector, ctx, cfg.symex_jobs);
+        let outcome = execute_task(&spec.tasks[ctx.index], cache, injector, ctx);
         span.append_detail(|| match &outcome {
             Ok(_) => "ok".into(),
             Err(e) => format!("err={}", e.kind.name()),
@@ -414,7 +407,6 @@ fn execute_task(
     cache: &AnalysisCache,
     inj: Option<&FaultInjector>,
     ctx: &TaskCtx,
-    symex_jobs: usize,
 ) -> Result<TaskResult, TaskError> {
     let key = ctx.index as u64;
     ctx.checkpoint()?;
@@ -432,7 +424,7 @@ fn execute_task(
     }
     match task {
         CampaignTask::ServerDiscovery(name) => Ok(run_server(name)),
-        CampaignTask::SehAnalysis(name) => run_seh(name, cache, inj, ctx, symex_jobs),
+        CampaignTask::SehAnalysis(name) => run_seh(name, cache, inj, ctx),
         CampaignTask::ApiFunnel { corpus_size } => Ok(run_funnel(*corpus_size, ctx.seed)),
         CampaignTask::PocScan(name) => Ok(run_poc(name)),
         CampaignTask::StaticScan(name) => Ok(run_scan(name, cache)),
@@ -459,7 +451,6 @@ fn run_seh(
     cache: &AnalysisCache,
     inj: Option<&FaultInjector>,
     ctx: &TaskCtx,
-    symex_jobs: usize,
 ) -> Result<TaskResult, TaskError> {
     // The loopy explorer-regression family lives outside the calibrated
     // §V-C population (its Table II/III totals are pinned), so it is
@@ -535,11 +526,7 @@ fn run_seh(
     let summary = match cache.get_module(&image_hash) {
         Some(s) => s,
         None => {
-            let a = analyze_module_cached_jobs(
-                &artifact.image,
-                &mut SharedVerdictCache(cache),
-                symex_jobs,
-            );
+            let a = analyze_module_cached(&artifact.image, &mut SharedVerdictCache(cache));
             let s = SehSummary {
                 module: a.module,
                 is_x64: a.is_x64,

@@ -123,8 +123,6 @@ EXPLORE OPTIONS:
     <dll>           a calibrated DLL name or the loopy family (see `list`)
     --independent   re-blast every path from scratch instead of incremental
                     push/pop solving (differential reference mode)
-    --jobs N        exploration worker threads (default 1); any N yields a
-                    byte-identical report via the canonical fork-order merge
     --json          emit per-filter path verdicts as a versioned JSON envelope
 
 SCAN OPTIONS:
@@ -137,8 +135,6 @@ SCAN OPTIONS:
 CAMPAIGN OPTIONS:
     --spec FILE     JSON campaign spec (default: the built-in full campaign)
     --jobs N        worker threads (default 1)
-    --symex-jobs N  exploration threads inside each symex task (default 1);
-                    same-image filters are batched so warmup amortizes
     --cache DIR     persist the content-addressed analysis cache here
     --seed S        RNG seed for rand-driven workloads (default 2017)
     --retries R     extra attempts for a failing task (default 1)
@@ -335,27 +331,12 @@ fn cmd_analyze(name: Option<&str>) -> i32 {
 fn cmd_explore(args: &[String]) -> i32 {
     let mut json = false;
     let mut independent = false;
-    let mut jobs: usize = 1;
     let mut name: Option<&str> = None;
-    let usage = "usage: crash-resist explore <dll> [--independent] [--jobs N] [--json]";
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let usage = "usage: crash-resist explore <dll> [--independent] [--json]";
+    for a in args {
         match a.as_str() {
             "--json" => json = true,
             "--independent" => independent = true,
-            "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a positive integer");
-                    eprintln!("{usage}");
-                    return EXIT_USAGE;
-                };
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer");
-                    eprintln!("{usage}");
-                    return EXIT_USAGE;
-                }
-                jobs = n;
-            }
             s if !s.starts_with('-') && name.is_none() => name = Some(s),
             other => {
                 eprintln!("unexpected argument {other:?}");
@@ -402,32 +383,16 @@ fn cmd_explore(args: &[String]) -> i32 {
         .iter()
         .map(|(n, &rva)| (rva, n.as_str()))
         .collect();
-    let explorer = FilterExplorer::builder()
-        .incremental(!independent)
-        .jobs(jobs)
-        .build();
-    let label_of = |rva: u32| {
-        labels
-            .get(&rva)
-            .map_or_else(|| format!("{rva:#x}"), |n| (*n).to_string())
-    };
-    // `--jobs 1` keeps the exact sequential per-filter loop; higher
-    // values batch every filter through the parallel scheduler, whose
-    // canonical merge makes the rows byte-identical either way.
-    let rows: Vec<(String, cr_symex::ExplorationReport)> = if jobs == 1 {
-        filter_rvas
-            .iter()
-            .map(|&rva| (label_of(rva), explorer.explore(&code, base + rva as u64)))
-            .collect()
-    } else {
-        let entries: Vec<u64> = filter_rvas.iter().map(|&rva| base + rva as u64).collect();
-        let (reports, _stats) = explorer.explore_batch(&code, &entries);
-        filter_rvas
-            .iter()
-            .map(|&rva| label_of(rva))
-            .zip(reports)
-            .collect()
-    };
+    let explorer = FilterExplorer::builder().incremental(!independent).build();
+    let rows: Vec<(String, cr_symex::ExplorationReport)> = filter_rvas
+        .iter()
+        .map(|&rva| {
+            let label = labels
+                .get(&rva)
+                .map_or_else(|| format!("{rva:#x}"), |n| (*n).to_string());
+            (label, explorer.explore(&code, base + rva as u64))
+        })
+        .collect();
 
     let verdict_word = |v: &FilterVerdict| match v {
         FilterVerdict::AcceptsAccessViolation { .. } => "accepts-av",
@@ -768,8 +733,6 @@ fn cmd_poc(oracle: Option<&str>, addr: Option<&str>) -> i32 {
 struct CampaignFlags {
     spec_path: Option<PathBuf>,
     jobs: usize,
-    /// exploration worker threads inside each symex (SEH) task.
-    symex_jobs: usize,
     cache_dir: Option<PathBuf>,
     seed_flag: Option<u64>,
     retries: u32,
@@ -791,7 +754,6 @@ impl CampaignFlags {
         let mut f = CampaignFlags {
             spec_path: None,
             jobs: 1,
-            symex_jobs: 1,
             cache_dir: None,
             seed_flag: None,
             retries: 1,
@@ -812,8 +774,8 @@ impl CampaignFlags {
                     f.summary_json = true;
                     i += 1;
                 }
-                flag @ ("--spec" | "--jobs" | "--symex-jobs" | "--cache" | "--seed"
-                | "--retries" | "--deadline-ms" | "--trace") => {
+                flag @ ("--spec" | "--jobs" | "--cache" | "--seed" | "--retries"
+                | "--deadline-ms" | "--trace") => {
                     let Some(v) = args.get(i + 1) else {
                         eprintln!("{flag} needs a value");
                         return Err(EXIT_USAGE);
@@ -832,7 +794,6 @@ impl CampaignFlags {
                             true
                         }
                         "--jobs" => v.parse().map(|n| f.jobs = n).is_ok(),
-                        "--symex-jobs" => v.parse().map(|n: usize| f.symex_jobs = n.max(1)).is_ok(),
                         "--seed" => v.parse().map(|s| f.seed_flag = Some(s)).is_ok(),
                         "--retries" => v.parse().map(|r| f.retries = r).is_ok(),
                         "--deadline-ms" => v
@@ -892,7 +853,6 @@ impl CampaignFlags {
     fn engine_config(&self, injector: Option<std::sync::Arc<FaultInjector>>) -> EngineConfig {
         EngineConfig {
             jobs: self.jobs,
-            symex_jobs: self.symex_jobs,
             retries: self.retries,
             cache_dir: self.cache_dir.clone(),
             deadline_ms: self.deadline_ms,

@@ -40,6 +40,9 @@ fn usage_errors_exit_two() {
         &["campaign", "--jobs"],
         &["campaign", "--jobs", "many"],
         &["campaign", "--spec", "/nonexistent/spec.json"],
+        // Exploration is sequential; neither worker-count flag exists.
+        &["explore", "loopy", "--jobs", "2"],
+        &["campaign", "--symex-jobs", "2"],
         &["arena", "--bogus-flag"],
         // --summary-json and --plan are chaos-only; arena must reject them.
         &["arena", "--summary-json"],

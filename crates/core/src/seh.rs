@@ -234,24 +234,9 @@ pub fn analyze_module(image: &PeImage) -> ModuleSehAnalysis {
 /// [`analyze_module`], consulting `cache` before each symbolic
 /// execution and publishing fresh verdicts back into it.
 pub fn analyze_module_cached(image: &PeImage, cache: &mut dyn VerdictCache) -> ModuleSehAnalysis {
-    analyze_module_cached_jobs(image, cache, 1)
-}
-
-/// [`analyze_module_cached`] with explorer-level parallelism: the
-/// module's uncached filters are batched through one
-/// [`FilterExplorer::explore_batch`] call so `jobs` exploration workers
-/// share a warm arena/session across every filter of the image, instead
-/// of one opaque filter-at-a-time task. Verdicts are identical at any
-/// `jobs` (the explorer's canonical merge guarantees it); `jobs <= 1`
-/// is exactly the serial path.
-pub fn analyze_module_cached_jobs(
-    image: &PeImage,
-    cache: &mut dyn VerdictCache,
-    jobs: usize,
-) -> ModuleSehAnalysis {
     let base = image.image_base;
     let code = PeCode::new(image);
-    let explorer = FilterExplorer::builder().jobs(jobs.max(1)).build();
+    let explorer = FilterExplorer::default();
 
     // Unique filters across all scopes.
     let mut filter_rvas: Vec<u32> = image
@@ -274,30 +259,8 @@ pub fn analyze_module_cached_jobs(
     // content-addressed cache: two filters with identical code bytes
     // share one solver run even within a single module. `computed`
     // mirrors this run's own puts so a non-storing cache (NoCache)
-    // still gets the share-one-run behavior under batching.
+    // still shares one run per key.
     let mut computed: BTreeMap<&str, FilterVerdict> = BTreeMap::new();
-    if jobs > 1 {
-        // Pre-resolve the cache misses in one batch: first RVA per
-        // unique key explores (same choice the serial loop makes), the
-        // rest alias its verdict.
-        let mut miss_rvas: Vec<u32> = Vec::new();
-        let mut miss_keys: Vec<&str> = Vec::new();
-        for (&rva, key) in filter_rvas.iter().zip(&keys) {
-            if cache.get(key).is_none() && !computed.contains_key(key.as_str()) {
-                computed.insert(key, FilterVerdict::Unknown("pending"));
-                miss_rvas.push(rva);
-                miss_keys.push(key);
-            }
-        }
-        if !miss_rvas.is_empty() {
-            let entries: Vec<u64> = miss_rvas.iter().map(|&rva| base + rva as u64).collect();
-            let (reports, _stats) = explorer.explore_batch(&code, &entries);
-            for (key, report) in miss_keys.iter().zip(reports) {
-                cache.put(key, &report.verdict);
-                computed.insert(key, report.verdict);
-            }
-        }
-    }
     let mut verdicts: BTreeMap<u32, FilterVerdict> = BTreeMap::new();
     for (&rva, key) in filter_rvas.iter().zip(&keys) {
         let verdict = match cache.get(key) {

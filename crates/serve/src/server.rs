@@ -984,7 +984,6 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) {
     });
     let engine_cfg = EngineConfig {
         jobs: job.jobs,
-        symex_jobs: 1, // per-request symex stays serial; parallelism is per-worker
         retries: job.retries,
         cache_dir: None, // the server owns persistence
         deadline_ms: job.deadline_ms,

@@ -26,7 +26,7 @@ use crate::term::{
     sym_intern, sym_lookup, sym_name, BoolId, BoolNode, SymId, TermArena, TermId, TermNode,
 };
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -70,9 +70,8 @@ enum MemoEntry {
 }
 
 /// One memo slot: the cached outcome plus the global insertion
-/// generation, so batch-scoped readers (the parallel explorer's
-/// canonical counter replay) can tell entries that predate their batch
-/// from entries raced in by a sibling worker mid-batch.
+/// generation, so an exploration's tally can tell entries that predate
+/// it from entries inserted while it ran (see [`tally_queries`]).
 #[derive(Debug, Clone)]
 struct MemoSlot {
     gen: u64,
@@ -84,10 +83,10 @@ struct MemoSlot {
 const MEMO_SHARDS: usize = 16;
 
 /// The process-wide normalized-query memo, sharded by key hash so
-/// concurrent exploration workers contend on 1/16th of a lock instead
-/// of one global one. `BTreeMap` because its empty constructor is
-/// `const`; keys are full canonical serializations (not hashes), so a
-/// hit is a structural identity, not a probabilistic one.
+/// concurrent campaign workers contend on 1/16th of a lock instead of
+/// one global one. `BTreeMap` because its empty constructor is `const`;
+/// keys are full canonical serializations (not hashes), so a hit is a
+/// structural identity, not a probabilistic one.
 static QUERY_MEMO: [Mutex<BTreeMap<Vec<u8>, MemoSlot>>; MEMO_SHARDS] =
     [const { Mutex::new(BTreeMap::new()) }; MEMO_SHARDS];
 
@@ -105,32 +104,50 @@ fn memo_shard(key: &[u8]) -> usize {
     (h as usize) & (MEMO_SHARDS - 1)
 }
 
-/// Probe the memo for `key`, returning the cached outcome and its
-/// insertion generation.
-fn memo_probe(key: &[u8]) -> Option<MemoSlot> {
-    QUERY_MEMO[memo_shard(key)]
+/// Count one satisfiability check, process-wide and in this thread's
+/// active tally.
+fn count_call() {
+    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+    with_tally(|t| t.counts.solver_calls += 1);
+}
+
+/// Probe the memo for `key`, counting the lookup (and a hit)
+/// process-wide and in this thread's active tally.
+fn memo_probe(key: &[u8]) -> Option<MemoEntry> {
+    let slot = QUERY_MEMO[memo_shard(key)]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .get(key)
-        .cloned()
+        .cloned();
+    MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
+    if slot.is_some() {
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    }
+    with_tally(|t| {
+        t.counts.memo_lookups += 1;
+        if let Some(slot) = &slot {
+            if slot.gen <= t.epoch || !t.touched.insert(slot.gen) {
+                t.counts.memo_hits += 1;
+            }
+        }
+    });
+    slot.map(|s| s.entry)
 }
 
-/// Insert an outcome for `key`, first-wins: if a sibling worker raced
+/// Insert an outcome for `key`, first-wins: if another thread raced
 /// the same normalized query in, its entry (an identical verdict — the
 /// memo is a pure function of the key) is kept.
 fn memo_insert(key: Vec<u8>, entry: MemoEntry) {
     let gen = MEMO_GEN.fetch_add(1, Ordering::Relaxed) + 1;
-    QUERY_MEMO[memo_shard(&key)]
+    let kept = QUERY_MEMO[memo_shard(&key)]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .entry(key)
-        .or_insert(MemoSlot { gen, entry });
-}
-
-/// Current memo insertion generation — the epoch a logged batch opens
-/// with (see [`query_log_begin`]).
-pub(crate) fn memo_generation() -> u64 {
-    MEMO_GEN.load(Ordering::Relaxed)
+        .or_insert(MemoSlot { gen, entry })
+        .gen;
+    with_tally(|t| {
+        t.touched.insert(kept);
+    });
 }
 
 /// Drop every entry in the normalized-query memo. Benchmarks use this
@@ -141,88 +158,66 @@ pub fn reset_query_memo() {
     }
 }
 
-/// One solver invocation, as seen by the per-thread query log.
-///
-/// `Short` is a call that never reached the memo (a constraint interned
-/// to constant false, or the reference pipeline); `Probed` carries the
-/// canonical key and whether the entry it found predates the logging
-/// batch. The parallel explorer replays these in canonical path order
-/// to reconstruct the solver/lookup/hit counters a sequential quiet
-/// process would have reported — the process-global counters above keep
-/// counting *actual* work, which under speculation is more.
-#[derive(Debug, Clone)]
-pub(crate) enum QueryEvent {
-    Short,
-    Probed { key: Vec<u8>, pre_existing: bool },
+/// Solver work counted inside one [`tally_queries`] scope.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct QueryTally {
+    /// Satisfiability checks, memo hits and short-circuits included.
+    pub solver_calls: u64,
+    /// Normalized-query memo probes.
+    pub memo_lookups: u64,
+    /// Probes that found an entry inserted before the scope opened, or
+    /// one the scope itself had already probed or inserted.
+    pub memo_hits: u64,
 }
 
-struct QueryLog {
-    enabled: bool,
-    /// Memo generation at batch start: entries at or below it were
-    /// inserted before the batch began.
+/// The open tally scope of one thread.
+struct Tally {
+    /// Memo generation when the scope opened: slots at or below it
+    /// predate the scope.
     epoch: u64,
-    events: Vec<QueryEvent>,
+    /// Generations of the newer slots this scope has probed or
+    /// inserted. A slot's generation names its key for as long as the
+    /// slot lives, so no key needs to be kept.
+    touched: HashSet<u64>,
+    counts: QueryTally,
 }
 
 thread_local! {
     static REFERENCE: Cell<bool> = const { Cell::new(false) };
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-    static QUERY_LOG: RefCell<QueryLog> = const {
-        RefCell::new(QueryLog { enabled: false, epoch: 0, events: Vec::new() })
+    static TALLY: RefCell<Option<Tally>> = const { RefCell::new(None) };
+}
+
+fn with_tally(f: impl FnOnce(&mut Tally)) {
+    TALLY.with(|t| {
+        if let Some(t) = t.borrow_mut().as_mut() {
+            f(t);
+        }
+    });
+}
+
+/// Run `f` and count the solver work it does on this thread. Checks
+/// issued by other threads never show in the tally, and neither do
+/// memo entries they insert while `f` runs, so the counts depend only
+/// on `f` and the memo state at entry. An enclosing scope is suspended
+/// for the duration and restored afterwards, also if `f` panics.
+pub(crate) fn tally_queries<R>(f: impl FnOnce() -> R) -> (R, QueryTally) {
+    struct Restore(Option<Tally>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = self.0.take();
+            TALLY.with(|t| *t.borrow_mut() = outer);
+        }
+    }
+    let scope = Tally {
+        epoch: MEMO_GEN.load(Ordering::Relaxed),
+        touched: HashSet::new(),
+        counts: QueryTally::default(),
     };
-}
-
-/// Start logging this thread's solver invocations against memo `epoch`
-/// (from [`memo_generation`] at batch start).
-pub(crate) fn query_log_begin(epoch: u64) {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        l.enabled = true;
-        l.epoch = epoch;
-        l.events.clear();
-    });
-}
-
-/// Drain the events logged since the last drain (or [`query_log_begin`]).
-pub(crate) fn query_log_drain() -> Vec<QueryEvent> {
-    QUERY_LOG.with(|l| std::mem::take(&mut l.borrow_mut().events))
-}
-
-/// Stop logging on this thread and discard any undrained events.
-pub(crate) fn query_log_end() {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        l.enabled = false;
-        l.events.clear();
-    });
-}
-
-fn log_short() {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.enabled {
-            l.events.push(QueryEvent::Short);
-        }
-    });
-}
-
-fn log_probe(key: &[u8], gen: Option<u64>) {
-    QUERY_LOG.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.enabled {
-            let pre_existing = gen.is_some_and(|g| g <= l.epoch);
-            l.events.push(QueryEvent::Probed {
-                key: key.to_vec(),
-                pre_existing,
-            });
-        }
-    });
-}
-
-/// Whether [`with_reference_pipeline`] is active on this thread — the
-/// parallel explorer propagates the flag into its workers.
-pub(crate) fn reference_pipeline_active() -> bool {
-    REFERENCE.with(Cell::get)
+    let _restore = Restore(TALLY.with(|t| t.replace(Some(scope))));
+    let out = f();
+    let counts = TALLY.with(|t| t.borrow().as_ref().map(|t| t.counts));
+    (out, counts.unwrap_or_default())
 }
 
 /// Run `f` with [`check`] routed through the pre-interning pipeline
@@ -294,9 +289,8 @@ impl SatResult {
 
 /// Check satisfiability of the conjunction of `constraints`.
 pub fn check(constraints: &[BoolExpr]) -> SatResult {
-    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+    count_call();
     if REFERENCE.with(Cell::get) {
-        log_short();
         return reference::check_reference_inner(constraints);
     }
     SCRATCH.with(|s| check_interned(&mut s.borrow_mut(), constraints))
@@ -311,8 +305,7 @@ pub fn check(constraints: &[BoolExpr]) -> SatResult {
 /// *identical* interner state instead of leaving the production arena
 /// cold while the reference runs in its own private world.
 pub fn check_reference(constraints: &[BoolExpr]) -> SatResult {
-    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
-    log_short();
+    count_call();
     SCRATCH.with(|s| {
         let s = &mut *s.borrow_mut();
         // Per-call pointer memo, same contract as `begin_query`: `Rc`
@@ -344,7 +337,6 @@ fn check_interned(s: &mut Scratch, constraints: &[BoolExpr]) -> SatResult {
         let id = s.intern_bool(c);
         if id == TermArena::FALSE {
             span.set_detail(|| "memo=short verdict=unsat".into());
-            log_short();
             return SatResult::Unsat;
         }
         if id == TermArena::TRUE {
@@ -353,13 +345,9 @@ fn check_interned(s: &mut Scratch, constraints: &[BoolExpr]) -> SatResult {
         s.roots.push(id);
     }
     let shape = s.arena.normalize(&s.roots);
-    MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    let hit = memo_probe(&shape.key);
-    log_probe(&shape.key, hit.as_ref().map(|slot| slot.gen));
-    if let Some(slot) = hit {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+    if let Some(entry) = memo_probe(&shape.key) {
         span.set_detail(|| format!("memo=hit vars={}", shape.vars.len()));
-        return match slot.entry {
+        return match entry {
             MemoEntry::Unsat => SatResult::Unsat,
             MemoEntry::Unknown(e) => SatResult::Unknown(e),
             MemoEntry::Sat(vals) => SatResult::Sat(Model::from_pairs(
@@ -508,11 +496,10 @@ impl Session {
     /// probe (`path ∧ branch-cond`) and verdict query
     /// (`path ∧ code = AV ∧ ret ≠ 0`).
     pub fn check_assuming(&mut self, extras: &[BoolExpr]) -> SatResult {
-        SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "solver.check");
         if self.false_count > 0 {
             span.set_detail(|| "memo=short verdict=unsat".into());
-            log_short();
             return SatResult::Unsat;
         }
         self.s.ptr_memo.clear();
@@ -529,7 +516,6 @@ impl Session {
             let id = self.s.intern_bool(c);
             if id == TermArena::FALSE {
                 span.set_detail(|| "memo=short verdict=unsat".into());
-                log_short();
                 return SatResult::Unsat;
             }
             if id != TermArena::TRUE {
@@ -537,13 +523,9 @@ impl Session {
             }
         }
         let shape = self.s.arena.normalize(&roots);
-        MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-        let hit = memo_probe(&shape.key);
-        log_probe(&shape.key, hit.as_ref().map(|slot| slot.gen));
-        if let Some(slot) = hit {
-            MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = memo_probe(&shape.key) {
             span.set_detail(|| format!("memo=hit vars={}", shape.vars.len()));
-            return match slot.entry {
+            return match entry {
                 MemoEntry::Unsat => SatResult::Unsat,
                 MemoEntry::Unknown(e) => SatResult::Unknown(e),
                 MemoEntry::Sat(vals) => SatResult::Sat(Model::from_pairs(
@@ -1317,6 +1299,14 @@ mod tests {
         BoolExpr::cmp(CmpOp::Eq, 64, a, b)
     }
 
+    /// Serializes the tests that call [`reset_query_memo`] or need an
+    /// entry to survive from one probe to the next, so a reset never
+    /// lands between another such test's insert and its probe.
+    fn memo_reset_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn var_equality_model() {
         let x = Expr::var("x", 32);
@@ -1463,19 +1453,21 @@ mod tests {
 
     #[test]
     fn memo_hits_on_alpha_equivalent_queries() {
+        let _memo = memo_reset_lock();
         reset_query_memo();
         // Fresh names so no earlier test primed these structures.
         let p = Expr::var("memo_test_p", 32);
         let q = Expr::var("memo_test_q", 32);
-        let lookups0 = memo_lookups();
-        let hits0 = memo_hits();
-        let r1 = check(&[eq64(p, Expr::c(0x1234_5678))]);
-        assert_eq!(memo_hits() - hits0, 0, "first query is a miss");
-        let r2 = check(&[eq64(q, Expr::c(0x1234_5678))]);
-        assert!(memo_lookups() - lookups0 >= 2);
+        let (r1, first) = tally_queries(|| check(&[eq64(p, Expr::c(0x1234_5678))]));
+        assert_eq!(first.memo_hits, 0, "first query is a miss");
+        let (r2, second) = tally_queries(|| check(&[eq64(q, Expr::c(0x1234_5678))]));
         assert_eq!(
-            memo_hits() - hits0,
-            1,
+            second,
+            QueryTally {
+                solver_calls: 1,
+                memo_lookups: 1,
+                memo_hits: 1
+            },
             "alpha-equivalent query must hit the memo"
         );
         match (r1, r2) {
@@ -1489,6 +1481,7 @@ mod tests {
 
     #[test]
     fn memo_replays_all_outcome_kinds() {
+        let _memo = memo_reset_lock();
         reset_query_memo();
         let x = Expr::var("memo_kinds_x", 8);
         let unsat = [eq64(x.clone(), Expr::c(0x100))];
@@ -1590,19 +1583,23 @@ mod tests {
 
     #[test]
     fn session_queries_flow_through_the_memo() {
+        let _memo = memo_reset_lock();
         reset_query_memo();
         let p = Expr::var("sess_memo_p", 32);
         let q = Expr::var("sess_memo_q", 32);
-        let hits0 = memo_hits();
-        let calls0 = solver_calls();
-        let mut sess = Session::new();
-        sess.push(&eq64(p, Expr::c(0xDEAD_0001))).unwrap();
-        let r1 = sess.check();
-        assert_eq!(memo_hits() - hits0, 0, "cold query misses");
-        // Alpha-equivalent single-shot query hits the session's entry.
-        let r2 = check(&[eq64(q, Expr::c(0xDEAD_0001))]);
-        assert_eq!(memo_hits() - hits0, 1, "shape is shared across doors");
-        assert_eq!(solver_calls() - calls0, 2, "both doors count as checks");
+        let ((r1, r2), tally) = tally_queries(|| {
+            let mut sess = Session::new();
+            sess.push(&eq64(p, Expr::c(0xDEAD_0001))).unwrap();
+            let r1 = sess.check();
+            // Alpha-equivalent single-shot query hits the session's entry.
+            (r1, check(&[eq64(q, Expr::c(0xDEAD_0001))]))
+        });
+        assert_eq!(tally.solver_calls, 2, "both doors count as checks");
+        assert_eq!(tally.memo_lookups, 2);
+        assert_eq!(
+            tally.memo_hits, 1,
+            "the cold query misses; its shape is shared across doors"
+        );
         match (r1, r2) {
             (SatResult::Sat(m1), SatResult::Sat(m2)) => {
                 assert_eq!(m1.get("sess_memo_p"), 0xDEAD_0001);
@@ -1610,6 +1607,32 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn tally_ignores_work_and_entries_of_other_threads() {
+        // No reset here, but a concurrent one would empty the memo
+        // between the warm scope's entry and its probe.
+        let _memo = memo_reset_lock();
+        let shape = || [eq64(Expr::var("tally_thread_x", 32), Expr::c(0xFEED_0042))];
+        let ((), tally) = tally_queries(|| {
+            // Another thread solves the shape first: its check is not
+            // ours, and the entry it inserted is newer than our scope.
+            std::thread::spawn(move || check(&shape())).join().unwrap();
+            assert!(check(&shape()).is_sat());
+            assert!(check(&shape()).is_sat());
+        });
+        assert_eq!(
+            tally,
+            QueryTally {
+                solver_calls: 2,
+                memo_lookups: 2,
+                memo_hits: 1
+            },
+            "first probe of a raced-in entry misses, the repeat hits"
+        );
+        let ((), warm) = tally_queries(|| assert!(check(&shape()).is_sat()));
+        assert_eq!(warm.memo_hits, 1, "entries older than the scope hit");
     }
 
     #[test]

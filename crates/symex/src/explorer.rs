@@ -26,55 +26,23 @@
 //!
 //! The one-door API is [`FilterExplorer::builder`] →
 //! [`FilterExplorer::explore`] → [`ExplorationReport`] (per-path
-//! verdicts, merged filter classification, path/solver/memo counters),
-//! plus [`FilterExplorer::explore_batch`] for many filters of one
-//! image in one call.
-//!
-//! # Parallel exploration
-//!
-//! With `jobs(n)`, `n > 1`, exploration runs as a deterministic fork
-//! scheduler over N workers. Each worker owns a private incremental
-//! [`Session`] (push/pop state cannot be shared across threads) and a
-//! private fresh-variable counter. Work is handed off at fork points:
-//! when a both-feasible fork fires and the shared queue is hungry, the
-//! taken side is *published* as a decision-bit prefix instead of being
-//! kept on the local LIFO worklist. A thief rebuilds the subtree root
-//! by **prefix replay** — re-decoding and re-stepping the shared path
-//! prefix into its own session, consuming one recorded decision bit
-//! per fork, issuing *zero* solver queries. Replay cost is bounded by
-//! path depth and is far cheaper than re-blasting; it is measured in
-//! [`ParallelStats::replay_steps`] against fresh
-//! [`ParallelStats::run_steps`].
-//!
-//! Determinism is restored at the end by a **canonical merge**: every
-//! attempt (one worklist pop) is keyed by its decision-bit string —
-//! `0` = fall-through, `1` = taken, appended at every fork — and the
-//! sequential explorer's LIFO pop order is exactly ascending
-//! lexicographic order of those strings (later-spawned siblings carry
-//! an earlier `0`). Sorting all attempt records by prefix therefore
-//! reconstructs the sequential order no matter which worker ran what,
-//! and the path budget is applied at merge time on the canonical walk,
-//! so merged verdicts, path order, and the `paths_completed` /
-//! `paths_pruned` metrics are byte-identical across `jobs(1..=n)`.
-//! Solver/memo counters in the report are likewise reconstructed from
-//! per-attempt query logs replayed in canonical order against a
-//! batch-shared seen-set (the process-global counters keep counting
-//! *actual* work, which under speculation is more).
+//! verdicts, merged filter classification, path/solver/memo counters).
+//! Exploration is a sequential depth-first walk on the calling thread,
+//! so paths come back in one deterministic order; parallelism lives one
+//! level up, where the campaign pool spreads whole filters over its
+//! workers. The report's solver/memo counters are tallied per
+//! exploration on the exploring thread, so concurrent explorations in
+//! other threads never show in them.
 
-use crate::blast::{
-    check, memo_generation, query_log_begin, query_log_drain, query_log_end,
-    reference_pipeline_active, with_reference_pipeline, QueryEvent, SatResult, Session,
-};
+use crate::blast::{check, tally_queries, SatResult, Session};
 use crate::exec::{
     step_inst, CodeSource, FilterAnalysis, FilterVerdict, PathEnd, StepOut, SymExec, SymState,
     CODE_VAR, EXCEPTION_ACCESS_VIOLATION,
 };
 use crate::expr::{BoolExpr, CmpOp, Expr};
 use cr_isa::{decode, Inst};
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Process-wide count of explorer paths run to a `ret`.
 static PATHS_COMPLETED: AtomicU64 = AtomicU64::new(0);
@@ -97,12 +65,12 @@ pub fn paths_pruned() -> u64 {
 /// explorer work counters.
 ///
 /// The counters themselves are process-global and bleed across
-/// concurrently running tests (and across parallel exploration
-/// workers), so absolute values are meaningless in any process that
-/// runs more than one thing. Scope an assertion instead: snapshot
-/// before the work, assert on [`SolverCounters::delta`] after. In a
-/// quiet single-threaded section the delta is exactly the section's
-/// own work.
+/// concurrently running tests and campaign workers, so absolute values
+/// are meaningless in any process that runs more than one thing. Scope
+/// an assertion instead: snapshot before the work, assert on
+/// [`SolverCounters::delta`] after. In a quiet single-threaded section
+/// the delta is exactly the section's own work. For one exploration's
+/// own work, read the counters on its [`ExplorationReport`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverCounters {
     /// Satisfiability checks issued ([`crate::solver_calls`]).
@@ -195,7 +163,9 @@ pub struct ExplorationReport {
     pub solver_calls: u64,
     /// Normalized-query memo probes during this exploration.
     pub memo_lookups: u64,
-    /// Normalized-query memo hits during this exploration.
+    /// Normalized-query memo hits during this exploration: probes that
+    /// found an entry older than the exploration, or one this
+    /// exploration already probed.
     pub memo_hits: u64,
 }
 
@@ -212,28 +182,6 @@ impl ExplorationReport {
     }
 }
 
-/// Work accounting for one [`FilterExplorer::explore_batch`] call.
-///
-/// Replay is the price of subtree hand-off: a stolen subtree re-steps
-/// its shared path prefix into the thief's session instead of cloning
-/// unsendable state. `replay_steps / run_steps` is therefore the
-/// parallelism overhead ratio the bench reports. Unlike the merged
-/// [`ExplorationReport`]s, these numbers depend on scheduling and are
-/// **not** deterministic across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-pub struct ParallelStats {
-    /// Worker count the batch ran with.
-    pub jobs: usize,
-    /// Tasks executed (per-filter roots + stolen subtrees + retries).
-    pub tasks: u64,
-    /// Subtree hand-offs published to the shared queue.
-    pub published: u64,
-    /// Instructions re-executed rebuilding stolen path prefixes.
-    pub replay_steps: u64,
-    /// Fresh exploration instructions executed.
-    pub run_steps: u64,
-}
-
 /// Path-enumerating filter analysis with incremental solving — the
 /// one-door replacement for scattered `analyze_filter`/`check` call
 /// sites. Construct through [`FilterExplorer::builder`].
@@ -243,8 +191,6 @@ pub struct FilterExplorer {
     max_steps: usize,
     max_unroll: usize,
     incremental: bool,
-    jobs: usize,
-    chaos: Option<fn(usize, u64)>,
 }
 
 impl Default for FilterExplorer {
@@ -253,7 +199,7 @@ impl Default for FilterExplorer {
     }
 }
 
-/// Builder for [`FilterExplorer`] (budgets, solver mode, parallelism).
+/// Builder for [`FilterExplorer`] (budgets and solver mode).
 #[derive(Debug, Clone, Copy)]
 pub struct FilterExplorerBuilder {
     inner: FilterExplorer,
@@ -270,8 +216,7 @@ impl FilterExplorerBuilder {
     /// executor's budget, including any [`crate::with_step_budget`]
     /// override active on this thread — the fault-injection hook
     /// reaches the explorer the same way (the budget is resolved here,
-    /// at build time, so exploration workers on other threads honor
-    /// it too).
+    /// at build time).
     pub fn max_steps(mut self, n: usize) -> Self {
         self.inner.max_steps = n;
         self
@@ -293,126 +238,30 @@ impl FilterExplorerBuilder {
         self
     }
 
-    /// Exploration workers (default 1). `1` explores inline on the
-    /// calling thread in exact sequential order; `n > 1` runs the
-    /// deterministic fork scheduler over `n` threads. Reports are
-    /// byte-identical either way (see the module docs).
-    pub fn jobs(mut self, n: usize) -> Self {
-        self.inner.jobs = n.max(1);
-        self
-    }
-
-    /// Fault-injection hook, called as `(worker, attempt)` before each
-    /// exploration attempt. A panic from the hook exercises the
-    /// worker-crash recovery path: the poisoned task is retried once
-    /// on a rebuilt session, then propagated.
-    #[doc(hidden)]
-    pub fn chaos_hook(mut self, hook: fn(usize, u64)) -> Self {
-        self.inner.chaos = Some(hook);
-        self
-    }
-
     /// Finalize the configuration.
     pub fn build(self) -> FilterExplorer {
         self.inner
     }
 }
 
-/// One suspended sibling branch on a worker's local LIFO worklist: the
-/// forked state plus the branch condition to assert when it resumes,
-/// the [`Session`] depth of the shared prefix it forked from, and its
-/// spawn coordinates for the canonical merge.
+/// One suspended sibling branch on the worklist: the forked state plus
+/// the branch condition to assert when it resumes, and the [`Session`]
+/// depth of the shared prefix it forked from.
 struct LocalWork {
     st: SymState,
     /// Fork counts per branch site along this path (unroll budget).
     unroll: HashMap<u64, usize>,
     /// Session depth of the path prefix below `cond`.
     fork_depth: usize,
-    /// Branch condition to push when this item resumes (`None` for a
-    /// task root — its conditions were asserted by prefix replay).
+    /// Branch condition to push when this item resumes (`None` for the
+    /// root, which starts on an empty path condition).
     cond: Option<BoolExpr>,
-    /// Decision-bit string. At spawn this is the attempt's canonical
-    /// identity; it grows by one bit per fork while the attempt runs.
-    prefix: Vec<bool>,
-    /// Parent's step count at the spawning fork (budget-marker steps).
-    spawn_steps: usize,
-    /// Parent's path depth at the spawning fork (budget-marker depth).
-    spawn_depth: usize,
-}
-
-/// A published subtree: everything a thief needs to rebuild the
-/// subtree root in its own session by prefix replay.
-struct Task {
-    filter: usize,
-    prefix: Vec<bool>,
-    /// Inherited path budget: the publisher's remaining budget at
-    /// publish time. Over-admits speculative attempts past the
-    /// canonical cutoff; the merge drops them.
-    budget: usize,
-    spawn_steps: usize,
-    spawn_depth: usize,
-    tries: u8,
-}
-
-/// What one attempt did, keyed by its decision-bit prefix. The merge
-/// sorts these lexicographically to reconstruct sequential order.
-struct AttemptRecord {
-    /// Spawn prefix if the attempt never ran, full terminal decision
-    /// string if it did (consistent under one order — an attempt's
-    /// terminal string extends its own spawn prefix and diverges from
-    /// every other attempt's at the spawning fork).
-    prefix: Vec<bool>,
-    spawn_steps: usize,
-    spawn_depth: usize,
-    /// `false`: the owning task hit its local path budget first; only
-    /// the spawn coordinates above are meaningful.
-    ran: bool,
-    pruned: usize,
-    steps_run: usize,
-    /// Solver invocations, in issue order (for canonical counter
-    /// reconstruction).
-    queries: Vec<QueryEvent>,
-    /// The path report, if this attempt produced one (`None` for
-    /// infeasible-prefix attempts that died at a both-infeasible fork).
-    terminal: Option<PathReport>,
-}
-
-/// Shared mutable state of one batch: the task queue and the committed
-/// attempt records, one bucket per filter.
-struct BatchQueue {
-    tasks: Vec<Task>,
-    /// Workers currently running a task (termination: queue empty and
-    /// nothing active).
-    active: usize,
-    /// First unrecovered worker panic; set after a task's retry also
-    /// panics. Drains the queue and is re-thrown by the caller.
-    fatal: Option<Box<dyn std::any::Any + Send>>,
-    records: Vec<Vec<AttemptRecord>>,
-}
-
-/// Everything a batch shares across its workers.
-struct Batch<'a> {
-    ex: FilterExplorer,
-    code: &'a (dyn CodeSource + Sync),
-    entries: &'a [u64],
-    jobs: usize,
-    /// Memo generation at batch start (query-log epoch).
-    epoch: u64,
-    /// Reference-pipeline flag of the spawning thread, re-entered by
-    /// every worker ([`with_reference_pipeline`] is thread-local).
-    reference: bool,
-    queue: Mutex<BatchQueue>,
-    cv: Condvar,
-    published: AtomicU64,
-    tasks_run: AtomicU64,
-    replay_steps: AtomicU64,
-    run_steps: AtomicU64,
 }
 
 impl FilterExplorer {
     /// Start configuring an explorer. Defaults: 256 paths, the
     /// single-shot step budget (512 unless overridden), 64 unrolls per
-    /// branch site, incremental solving on, one worker.
+    /// branch site, incremental solving on.
     pub fn builder() -> FilterExplorerBuilder {
         FilterExplorerBuilder {
             inner: FilterExplorer {
@@ -420,8 +269,6 @@ impl FilterExplorer {
                 max_steps: SymExec::default().max_steps,
                 max_unroll: 64,
                 incremental: true,
-                jobs: 1,
-                chaos: None,
             },
         }
     }
@@ -429,613 +276,229 @@ impl FilterExplorer {
     /// Explore the filter function entered at `entry` under the
     /// Windows x64 filter-call harness (same ABI as
     /// [`SymExec::analyze_filter`]).
-    pub fn explore(&self, code: &(dyn CodeSource + Sync), entry: u64) -> ExplorationReport {
-        let (mut reports, _) = self.explore_batch(code, std::slice::from_ref(&entry));
-        reports.pop().expect("one entry in, one report out")
+    pub fn explore(&self, code: &dyn CodeSource, entry: u64) -> ExplorationReport {
+        // Advisory, like the single-shot "filter.vet" span: whether an
+        // exploration happens at all can depend on cache scheduling.
+        let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.explore");
+        let (mut report, tally) = tally_queries(|| self.walk(code, entry));
+        report.solver_calls = tally.solver_calls;
+        report.memo_lookups = tally.memo_lookups;
+        report.memo_hits = tally.memo_hits;
+        PATHS_COMPLETED.fetch_add(report.completed_paths as u64, Ordering::Relaxed);
+        PATHS_PRUNED.fetch_add(report.pruned_branches as u64, Ordering::Relaxed);
+        span.set_detail(|| {
+            let verdict = match report.verdict {
+                FilterVerdict::AcceptsAccessViolation { .. } => "accepts_av",
+                FilterVerdict::RejectsAccessViolation => "rejects_av",
+                FilterVerdict::Unknown(_) => "unknown",
+            };
+            format!(
+                "paths={} completed={} aborted={} pruned={} steps={} verdict={verdict}",
+                report.paths.len(),
+                report.completed_paths,
+                report.aborted_paths.len(),
+                report.pruned_branches,
+                report.steps,
+            )
+        });
+        report
     }
 
-    /// Explore every filter in `entries` (same image) in one batch:
-    /// one session warmup per worker amortized across all filters, and
-    /// fork-level parallelism across as well as within filters when
-    /// `jobs > 1`. Reports come back in `entries` order and are
-    /// byte-identical to calling [`FilterExplorer::explore`] per entry
-    /// in that order.
-    pub fn explore_batch(
-        &self,
-        code: &(dyn CodeSource + Sync),
-        entries: &[u64],
-    ) -> (Vec<ExplorationReport>, ParallelStats) {
-        let jobs = self.jobs.max(1);
-        let batch = Batch {
-            ex: *self,
-            code,
-            entries,
-            jobs,
-            epoch: memo_generation(),
-            reference: reference_pipeline_active(),
-            queue: Mutex::new(BatchQueue {
-                // A LIFO stack: push the per-filter roots in reverse so
-                // filter 0 pops (and at `jobs == 1` fully runs) first.
-                tasks: (0..entries.len())
-                    .rev()
-                    .map(|filter| Task {
-                        filter,
-                        prefix: Vec::new(),
-                        budget: self.max_paths,
-                        spawn_steps: 0,
-                        spawn_depth: 0,
-                        tries: 0,
-                    })
-                    .collect(),
-                active: 0,
-                fatal: None,
-                records: entries.iter().map(|_| Vec::new()).collect(),
-            }),
-            cv: Condvar::new(),
-            published: AtomicU64::new(0),
-            tasks_run: AtomicU64::new(0),
-            replay_steps: AtomicU64::new(0),
-            run_steps: AtomicU64::new(0),
+    /// The depth-first walk behind [`FilterExplorer::explore`]: a LIFO
+    /// worklist of suspended siblings over one incremental session.
+    /// Fills everything in the report but the solver/memo counters.
+    fn walk(&self, code: &dyn CodeSource, entry: u64) -> ExplorationReport {
+        let mut session: Option<Session> = self.incremental.then(Session::new);
+        let mut fresh = 0u32;
+        let code_is_av = BoolExpr::cmp(
+            CmpOp::Eq,
+            32,
+            Expr::var(CODE_VAR, 32),
+            Expr::c(EXCEPTION_ACCESS_VIOLATION),
+        );
+        let mut report = ExplorationReport {
+            verdict: FilterVerdict::RejectsAccessViolation,
+            paths: Vec::new(),
+            completed_paths: 0,
+            aborted_paths: Vec::new(),
+            pruned_branches: 0,
+            steps: 0,
+            solver_calls: 0,
+            memo_lookups: 0,
+            memo_hits: 0,
         };
-        if jobs == 1 {
-            worker_loop(&batch, 0);
-        } else {
-            std::thread::scope(|s| {
-                for worker in 0..jobs {
-                    let batch = &batch;
-                    s.spawn(move || worker_loop(batch, worker));
-                }
-            });
-        }
-        let q = batch.queue.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(payload) = q.fatal {
-            resume_unwind(payload);
-        }
-        let stats = ParallelStats {
-            jobs,
-            tasks: batch.tasks_run.into_inner(),
-            published: batch.published.into_inner(),
-            replay_steps: batch.replay_steps.into_inner(),
-            run_steps: batch.run_steps.into_inner(),
-        };
-        // Canonical merge, filter by filter, with one memo seen-set
-        // threaded through the whole batch in filter order — exactly
-        // the memo state a sequential quiet process would have seen.
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut reports = Vec::with_capacity(entries.len());
-        for records in q.records {
-            // Advisory, like the single-shot "filter.vet" span: whether
-            // an exploration happens at all can depend on cache
-            // scheduling.
-            let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.explore");
-            let report = self.merge_filter(records, &mut seen);
-            span.set_detail(|| {
-                let verdict = match report.verdict {
-                    FilterVerdict::AcceptsAccessViolation { .. } => "accepts_av",
-                    FilterVerdict::RejectsAccessViolation => "rejects_av",
-                    FilterVerdict::Unknown(_) => "unknown",
-                };
-                format!(
-                    "paths={} completed={} aborted={} pruned={} steps={} verdict={verdict}",
-                    report.paths.len(),
-                    report.completed_paths,
-                    report.aborted_paths.len(),
-                    report.pruned_branches,
-                    report.steps,
-                )
-            });
-            reports.push(report);
-        }
-        (reports, stats)
-    }
-
-    /// Reduce one filter's attempt records to the sequential report:
-    /// sort by decision prefix (= sequential pop order), apply the
-    /// path budget on the walk, and replay the query log against the
-    /// batch seen-set for canonical solver/memo counters.
-    fn merge_filter(
-        &self,
-        mut records: Vec<AttemptRecord>,
-        seen: &mut HashSet<Vec<u8>>,
-    ) -> ExplorationReport {
-        // Chaos retries can commit one subtree twice (a published child
-        // of the doomed first try, and the retry's own copy). Records
-        // are deterministic, so keep one per prefix, preferring the
-        // copy that ran (budget inheritance can differ across copies).
-        records.sort_by(|a, b| a.prefix.cmp(&b.prefix).then(b.ran.cmp(&a.ran)));
-        records.dedup_by(|a, b| a.prefix == b.prefix);
-        let mut paths: Vec<PathReport> = Vec::new();
-        let mut aborted: Vec<&'static str> = Vec::new();
-        let mut completed = 0usize;
-        let mut pruned = 0usize;
-        let mut total_steps = 0usize;
         let mut accept_witness = None;
         let mut any_unknown_solver = false;
-        let mut calls = 0u64;
-        let mut lookups = 0u64;
-        let mut hits = 0u64;
-        for rec in records {
-            if paths.len() >= self.max_paths {
-                // The canonically next attempt is where the sequential
-                // explorer would have stopped: synthesize its budget
-                // marker from the spawn coordinates and drop everything
-                // after it (speculatively explored or not).
-                aborted.push("path budget exhausted");
-                paths.push(PathReport {
+        let mut work: Vec<LocalWork> = vec![LocalWork {
+            st: SymState::filter_harness(entry),
+            unroll: HashMap::new(),
+            fork_depth: 0,
+            cond: None,
+        }];
+        'work: while let Some(mut w) = work.pop() {
+            if report.paths.len() >= self.max_paths {
+                // The next sibling is where exploration stops: it
+                // becomes the budget marker, at its fork coordinates.
+                report.aborted_paths.push("path budget exhausted");
+                report.paths.push(PathReport {
                     verdict: PathVerdict::Aborted("path budget exhausted"),
-                    steps: rec.spawn_steps,
-                    depth: rec.spawn_depth,
+                    steps: w.st.steps,
+                    depth: w.st.path.len(),
                 });
                 break;
             }
-            assert!(
-                rec.ran,
-                "canonical merge reached an unexplored attempt under budget"
-            );
-            pruned += rec.pruned;
-            total_steps += rec.steps_run;
-            for q in &rec.queries {
-                calls += 1;
-                if let QueryEvent::Probed { key, pre_existing } = q {
-                    lookups += 1;
-                    if *pre_existing || seen.contains(key) {
-                        hits += 1;
-                    } else {
-                        seen.insert(key.clone());
+            let mut pspan = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.path");
+            // Resume: rewind the session to the shared prefix and assert
+            // this sibling's branch condition.
+            let mut resume_err = None;
+            if let Some(cond) = w.cond.take() {
+                if let Some(sess) = session.as_mut() {
+                    sess.pop_to(w.fork_depth);
+                    if let Err(e) = sess.push(&cond) {
+                        resume_err = Some(e);
                     }
                 }
+                w.st.path.push(cond);
             }
-            let Some(p) = rec.terminal else {
-                continue;
-            };
-            match &p.verdict {
-                PathVerdict::Aborted(r) => aborted.push(r),
-                PathVerdict::AcceptsAv { witness_code } => {
-                    completed += 1;
-                    if accept_witness.is_none() {
-                        accept_witness = Some(*witness_code);
-                    }
-                }
-                PathVerdict::RejectsAv => completed += 1,
-                PathVerdict::Unknown(_) => {
-                    completed += 1;
-                    any_unknown_solver = true;
-                }
-            }
-            paths.push(p);
-        }
-        // The process-global metrics move by the *canonical* totals,
-        // here at merge time, so they too are identical across job
-        // counts (speculative work never shows).
-        PATHS_COMPLETED.fetch_add(completed as u64, Ordering::Relaxed);
-        PATHS_PRUNED.fetch_add(pruned as u64, Ordering::Relaxed);
-        // Same verdict priority as the single-shot pipeline.
-        let verdict = match accept_witness {
-            Some(witness_code) => FilterVerdict::AcceptsAccessViolation { witness_code },
-            None if !aborted.is_empty() => FilterVerdict::Unknown(aborted[0]),
-            None if any_unknown_solver => FilterVerdict::Unknown("solver gave up"),
-            None if completed == 0 => FilterVerdict::Unknown("no complete path"),
-            None => FilterVerdict::RejectsAccessViolation,
-        };
-        ExplorationReport {
-            verdict,
-            paths,
-            completed_paths: completed,
-            aborted_paths: aborted,
-            pruned_branches: pruned,
-            steps: total_steps,
-            solver_calls: calls,
-            memo_lookups: lookups,
-            memo_hits: hits,
-        }
-    }
-}
-
-/// One exploration worker: pop tasks until the queue drains, with
-/// crash containment (a panicking task is retried once on a rebuilt
-/// session, then recorded as fatal). At `jobs == 1` this runs inline
-/// on the calling thread in exact sequential order.
-fn worker_loop(batch: &Batch<'_>, worker: usize) {
-    query_log_begin(batch.epoch);
-    let mut session: Option<Session> = batch.ex.incremental.then(Session::new);
-    let mut attempts = 0u64;
-    let mut tasks_done = 0u64;
-    let mut wspan = cr_trace::span_advisory(cr_trace::Stage::Symex, "explore.worker");
-    loop {
-        let task = {
-            let mut q = batch.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(t) = q.tasks.pop() {
-                    q.active += 1;
-                    break Some(t);
-                }
-                if q.active == 0 {
-                    break None;
-                }
-                q = batch.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(task) = task else {
-            batch.cv.notify_all();
-            break;
-        };
-        batch.tasks_run.fetch_add(1, Ordering::Relaxed);
-        tasks_done += 1;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if batch.reference {
-                with_reference_pipeline(|| {
-                    run_task(batch, &task, &mut session, worker, &mut attempts)
-                })
+            let end = if let Some(e) = resume_err {
+                PathEnd::Aborted(e)
             } else {
-                run_task(batch, &task, &mut session, worker, &mut attempts)
-            }
-        }));
-        let mut q = batch.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.active -= 1;
-        match run {
-            Ok(records) => q.records[task.filter].extend(records),
-            Err(payload) => {
-                // The session and this thread's query log may be
-                // mid-mutation: rebuild both before touching another
-                // task. Nothing from the doomed run was committed.
-                session = batch.ex.incremental.then(Session::new);
-                query_log_begin(batch.epoch);
-                if task.tries == 0 && q.fatal.is_none() {
-                    let mut retry = task;
-                    retry.tries = 1;
-                    q.tasks.push(retry);
-                } else {
-                    if q.fatal.is_none() {
-                        q.fatal = Some(payload);
+                loop {
+                    if w.st.steps >= self.max_steps {
+                        break PathEnd::Aborted("step budget exhausted");
                     }
-                    q.tasks.clear();
-                }
-            }
-        }
-        if q.tasks.is_empty() && q.active == 0 {
-            batch.cv.notify_all();
-        } else if !q.tasks.is_empty() {
-            batch.cv.notify_one();
-        }
-    }
-    query_log_end();
-    wspan.set_detail(|| format!("worker={worker} tasks={tasks_done}"));
-    drop(wspan);
-    cr_trace::flush_local();
-}
-
-/// Run one task to completion: replay the stolen prefix, then explore
-/// its subtree with a local LIFO worklist, publishing both-feasible
-/// fork sides when the shared queue is hungry. Returns the attempt
-/// records to commit; committed atomically by the caller only on
-/// success, so a panic can never leave a torn record set.
-fn run_task(
-    batch: &Batch<'_>,
-    task: &Task,
-    session: &mut Option<Session>,
-    worker: usize,
-    attempts: &mut u64,
-) -> Vec<AttemptRecord> {
-    let ex = &batch.ex;
-    let code = batch.code;
-    let entry = batch.entries[task.filter];
-    let mut fresh = 0u32;
-    if let Some(sess) = session.as_mut() {
-        sess.pop_to(0);
-    }
-    // Defensive: a predecessor must not leak events into this task.
-    let _ = query_log_drain();
-    let mut records: Vec<AttemptRecord> = Vec::new();
-
-    // Phase 1 — prefix replay: rebuild the subtree root by re-stepping
-    // the shared path prefix, consuming one recorded decision per fork.
-    // No feasibility probes, no spawns: every query along this prefix
-    // was already issued (and recorded) by the publishing side.
-    let mut st = SymState::filter_harness(entry);
-    let mut unroll: HashMap<u64, usize> = HashMap::new();
-    let mut replayed = 0u64;
-    let mut cursor = 0usize;
-    while cursor < task.prefix.len() {
-        let mut bytes = [0u8; 15];
-        let n = code.read_code(st.rip, &mut bytes);
-        assert!(n > 0, "prefix replay fell off code");
-        let d = decode(&bytes[..n]).expect("prefix replay hit undecodable code");
-        st.steps += 1;
-        replayed += 1;
-        match step_inst(&mut st, &d.inst, d.len, &mut fresh, true) {
-            StepOut::Continue => {}
-            StepOut::Fork(cond) => {
-                let next = st.rip.wrapping_add(d.len as u64);
-                let Inst::Jcc { rel, .. } = d.inst else {
-                    unreachable!()
-                };
-                let target = next.wrapping_add(rel as i64 as u64);
-                *unroll.entry(st.rip).or_insert(0) += 1;
-                let taken = task.prefix[cursor];
-                cursor += 1;
-                let c = if taken { cond } else { BoolExpr::not(cond) };
-                let push_err = match session.as_mut() {
-                    Some(sess) => sess.push(&c).err(),
-                    None => None,
-                };
-                st.path.push(c);
-                if let Some(e) = push_err {
-                    // Only the final bit — the spawn condition itself —
-                    // can fail to encode (every earlier bit was pushed
-                    // by an ancestor). This is the sequential resume
-                    // failure, reported the same way.
-                    batch.replay_steps.fetch_add(replayed, Ordering::Relaxed);
-                    let _ = query_log_drain();
-                    records.push(AttemptRecord {
-                        prefix: task.prefix.clone(),
-                        spawn_steps: task.spawn_steps,
-                        spawn_depth: task.spawn_depth,
-                        ran: true,
-                        pruned: 0,
-                        steps_run: 0,
-                        queries: Vec::new(),
-                        terminal: Some(PathReport {
-                            verdict: PathVerdict::Aborted(e),
-                            steps: st.steps,
-                            depth: st.path.len(),
-                        }),
-                    });
-                    return records;
-                }
-                st.rip = if taken { target } else { next };
-            }
-            StepOut::End(_) => panic!("prefix replay diverged at a path end"),
-        }
-    }
-    batch.replay_steps.fetch_add(replayed, Ordering::Relaxed);
-
-    // Phase 2 — explore the subtree, sequential-style.
-    let code_is_av = BoolExpr::cmp(
-        CmpOp::Eq,
-        32,
-        Expr::var(CODE_VAR, 32),
-        Expr::c(EXCEPTION_ACCESS_VIOLATION),
-    );
-    let mut terminals = 0usize;
-    let mut local: Vec<LocalWork> = vec![LocalWork {
-        st,
-        unroll,
-        fork_depth: 0,
-        cond: None,
-        prefix: task.prefix.clone(),
-        spawn_steps: task.spawn_steps,
-        spawn_depth: task.spawn_depth,
-    }];
-    let mut run_steps = 0u64;
-    'work: while let Some(mut w) = local.pop() {
-        if terminals >= task.budget {
-            // Local path budget exhausted. Everything still queued is
-            // canonically past the batch-wide cutoff (budget
-            // inheritance guarantees ≥ max_paths terminals sort before
-            // it); record spawn coordinates so the merge can place the
-            // budget marker, and stop.
-            records.push(unrun_record(w));
-            while let Some(rest) = local.pop() {
-                records.push(unrun_record(rest));
-            }
-            break;
-        }
-        if let Some(hook) = ex.chaos {
-            hook(worker, *attempts);
-        }
-        *attempts += 1;
-        let mut pspan = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.path");
-        let mut pruned = 0usize;
-        let mut steps_run = 0usize;
-        // Resume: rewind the session to the shared prefix and assert
-        // this sibling's branch condition.
-        let mut resume_err = None;
-        if let Some(cond) = w.cond.take() {
-            if let Some(sess) = session.as_mut() {
-                sess.pop_to(w.fork_depth);
-                if let Err(e) = sess.push(&cond) {
-                    resume_err = Some(e);
-                }
-            }
-            w.st.path.push(cond);
-        }
-        let end = if let Some(e) = resume_err {
-            PathEnd::Aborted(e)
-        } else {
-            loop {
-                if w.st.steps >= ex.max_steps {
-                    break PathEnd::Aborted("step budget exhausted");
-                }
-                let mut bytes = [0u8; 15];
-                let n = code.read_code(w.st.rip, &mut bytes);
-                if n == 0 {
-                    break PathEnd::Aborted("fell off code");
-                }
-                let Ok(d) = decode(&bytes[..n]) else {
-                    break PathEnd::Aborted("undecodable instruction");
-                };
-                w.st.steps += 1;
-                steps_run += 1;
-                match step_inst(&mut w.st, &d.inst, d.len, &mut fresh, true) {
-                    StepOut::Continue => {}
-                    StepOut::Fork(cond) => {
-                        let next = w.st.rip.wrapping_add(d.len as u64);
-                        let Inst::Jcc { rel, .. } = d.inst else {
-                            unreachable!()
-                        };
-                        let target = next.wrapping_add(rel as i64 as u64);
-                        let site = w.st.rip;
-                        let seen = w.unroll.entry(site).or_insert(0);
-                        *seen += 1;
-                        if *seen > ex.max_unroll {
-                            break PathEnd::Aborted("loop unroll budget exhausted");
-                        }
-                        let not_cond = BoolExpr::not(cond.clone());
-                        let take_ok = feasible(session.as_mut(), &w.st.path, &cond);
-                        let fall_ok = feasible(session.as_mut(), &w.st.path, &not_cond);
-                        match (take_ok, fall_ok) {
-                            (true, true) => {
-                                let mut child_prefix = w.prefix.clone();
-                                child_prefix.push(true);
-                                let child = Task {
-                                    filter: task.filter,
-                                    prefix: child_prefix,
-                                    budget: task.budget - terminals,
-                                    spawn_steps: w.st.steps,
-                                    spawn_depth: w.st.path.len(),
-                                    tries: 0,
-                                };
-                                if let Some(child) = try_publish(batch, child) {
+                    let mut bytes = [0u8; 15];
+                    let n = code.read_code(w.st.rip, &mut bytes);
+                    if n == 0 {
+                        break PathEnd::Aborted("fell off code");
+                    }
+                    let Ok(d) = decode(&bytes[..n]) else {
+                        break PathEnd::Aborted("undecodable instruction");
+                    };
+                    w.st.steps += 1;
+                    report.steps += 1;
+                    match step_inst(&mut w.st, &d.inst, d.len, &mut fresh, true) {
+                        StepOut::Continue => {}
+                        StepOut::Fork(cond) => {
+                            let next = w.st.rip.wrapping_add(d.len as u64);
+                            let Inst::Jcc { rel, .. } = d.inst else {
+                                unreachable!()
+                            };
+                            let target = next.wrapping_add(rel as i64 as u64);
+                            let seen = w.unroll.entry(w.st.rip).or_insert(0);
+                            *seen += 1;
+                            if *seen > self.max_unroll {
+                                break PathEnd::Aborted("loop unroll budget exhausted");
+                            }
+                            let not_cond = BoolExpr::not(cond.clone());
+                            let take_ok = feasible(session.as_mut(), &w.st.path, &cond);
+                            let fall_ok = feasible(session.as_mut(), &w.st.path, &not_cond);
+                            let (side, rip) = match (take_ok, fall_ok) {
+                                (true, true) => {
                                     let mut taken = w.st.clone();
                                     taken.rip = target;
-                                    local.push(LocalWork {
+                                    work.push(LocalWork {
                                         st: taken,
                                         unroll: w.unroll.clone(),
                                         fork_depth: session.as_ref().map_or(0, Session::depth),
                                         cond: Some(cond),
-                                        prefix: child.prefix,
-                                        spawn_steps: child.spawn_steps,
-                                        spawn_depth: child.spawn_depth,
                                     });
+                                    (not_cond, next)
                                 }
-                                w.prefix.push(false);
-                                if let Err(e) = assert_cond(session.as_mut(), not_cond, &mut w.st) {
-                                    break PathEnd::Aborted(e);
+                                (true, false) => {
+                                    report.pruned_branches += 1;
+                                    (cond, target)
                                 }
-                                w.st.rip = next;
-                            }
-                            (true, false) => {
-                                pruned += 1;
-                                w.prefix.push(true);
-                                if let Err(e) = assert_cond(session.as_mut(), cond, &mut w.st) {
-                                    break PathEnd::Aborted(e);
+                                (false, true) => {
+                                    report.pruned_branches += 1;
+                                    (not_cond, next)
                                 }
-                                w.st.rip = target;
-                            }
-                            (false, true) => {
-                                pruned += 1;
-                                w.prefix.push(false);
-                                if let Err(e) = assert_cond(session.as_mut(), not_cond, &mut w.st) {
-                                    break PathEnd::Aborted(e);
+                                (false, false) => {
+                                    // The prefix itself is unsatisfiable
+                                    // (reachable only via an explored
+                                    // Unknown probe): drop the path, it
+                                    // constrains nothing.
+                                    report.pruned_branches += 2;
+                                    pspan.set_detail(|| "verdict=infeasible-prefix".into());
+                                    continue 'work;
                                 }
-                                w.st.rip = next;
+                            };
+                            if let Err(e) = assert_cond(session.as_mut(), side, &mut w.st) {
+                                break PathEnd::Aborted(e);
                             }
-                            (false, false) => {
-                                // The prefix itself is unsatisfiable
-                                // (reachable only via an explored
-                                // Unknown probe): drop the path, it
-                                // constrains nothing.
-                                pruned += 2;
-                                run_steps += steps_run as u64;
-                                pspan.set_detail(|| "verdict=infeasible-prefix".into());
-                                drop(pspan);
-                                records.push(AttemptRecord {
-                                    prefix: w.prefix,
-                                    spawn_steps: w.spawn_steps,
-                                    spawn_depth: w.spawn_depth,
-                                    ran: true,
-                                    pruned,
-                                    steps_run,
-                                    queries: query_log_drain(),
-                                    terminal: None,
-                                });
-                                continue 'work;
-                            }
+                            w.st.rip = rip;
                         }
+                        StepOut::End(e) => break e,
                     }
-                    StepOut::End(e) => break e,
                 }
-            }
-        };
-        let report = match end {
-            PathEnd::Aborted(r) => PathReport {
-                verdict: PathVerdict::Aborted(r),
-                steps: w.st.steps,
-                depth: w.st.path.len(),
-            },
-            PathEnd::Ret { value, path } => {
-                // Query: path ∧ code == AV ∧ eax != 0.
-                let ret_nz = BoolExpr::cmp(CmpOp::Ne, 32, value, Expr::c(0));
-                let r = match session.as_mut() {
-                    Some(sess) => sess.check_assuming(&[code_is_av.clone(), ret_nz]),
-                    None => {
-                        let mut cs = path;
-                        cs.push(code_is_av.clone());
-                        cs.push(ret_nz);
-                        check(&cs)
-                    }
-                };
-                let verdict = match r {
-                    SatResult::Sat(m) => PathVerdict::AcceptsAv {
-                        witness_code: m.get(CODE_VAR),
-                    },
-                    SatResult::Unsat => PathVerdict::RejectsAv,
-                    SatResult::Unknown(e) => PathVerdict::Unknown(e),
-                };
-                PathReport {
-                    verdict,
+            };
+            let path = match end {
+                PathEnd::Aborted(r) => PathReport {
+                    verdict: PathVerdict::Aborted(r),
                     steps: w.st.steps,
                     depth: w.st.path.len(),
+                },
+                PathEnd::Ret { value, path } => {
+                    // Query: path ∧ code == AV ∧ eax != 0.
+                    let ret_nz = BoolExpr::cmp(CmpOp::Ne, 32, value, Expr::c(0));
+                    let r = match session.as_mut() {
+                        Some(sess) => sess.check_assuming(&[code_is_av.clone(), ret_nz]),
+                        None => {
+                            let mut cs = path;
+                            cs.push(code_is_av.clone());
+                            cs.push(ret_nz);
+                            check(&cs)
+                        }
+                    };
+                    let verdict = match r {
+                        SatResult::Sat(m) => PathVerdict::AcceptsAv {
+                            witness_code: m.get(CODE_VAR),
+                        },
+                        SatResult::Unsat => PathVerdict::RejectsAv,
+                        SatResult::Unknown(e) => PathVerdict::Unknown(e),
+                    };
+                    PathReport {
+                        verdict,
+                        steps: w.st.steps,
+                        depth: w.st.path.len(),
+                    }
+                }
+            };
+            pspan.set_detail(|| {
+                let v = match &path.verdict {
+                    PathVerdict::AcceptsAv { .. } => "accepts_av",
+                    PathVerdict::RejectsAv => "rejects_av",
+                    PathVerdict::Unknown(_) => "unknown",
+                    PathVerdict::Aborted(_) => "aborted",
+                };
+                format!("verdict={v} steps={} depth={}", path.steps, path.depth)
+            });
+            match &path.verdict {
+                PathVerdict::Aborted(r) => report.aborted_paths.push(r),
+                PathVerdict::AcceptsAv { witness_code } => {
+                    report.completed_paths += 1;
+                    accept_witness = accept_witness.or(Some(*witness_code));
+                }
+                PathVerdict::RejectsAv => report.completed_paths += 1,
+                PathVerdict::Unknown(_) => {
+                    report.completed_paths += 1;
+                    any_unknown_solver = true;
                 }
             }
+            report.paths.push(path);
+        }
+        // Same verdict priority as the single-shot pipeline.
+        report.verdict = match accept_witness {
+            Some(witness_code) => FilterVerdict::AcceptsAccessViolation { witness_code },
+            None => match report.aborted_paths.first() {
+                Some(&reason) => FilterVerdict::Unknown(reason),
+                None if any_unknown_solver => FilterVerdict::Unknown("solver gave up"),
+                None if report.completed_paths == 0 => FilterVerdict::Unknown("no complete path"),
+                None => FilterVerdict::RejectsAccessViolation,
+            },
         };
-        terminals += 1;
-        run_steps += steps_run as u64;
-        pspan.set_detail(|| {
-            let v = match &report.verdict {
-                PathVerdict::AcceptsAv { .. } => "accepts_av",
-                PathVerdict::RejectsAv => "rejects_av",
-                PathVerdict::Unknown(_) => "unknown",
-                PathVerdict::Aborted(_) => "aborted",
-            };
-            format!("verdict={v} steps={} depth={}", report.steps, report.depth)
-        });
-        drop(pspan);
-        records.push(AttemptRecord {
-            prefix: w.prefix,
-            spawn_steps: w.spawn_steps,
-            spawn_depth: w.spawn_depth,
-            ran: true,
-            pruned,
-            steps_run,
-            queries: query_log_drain(),
-            terminal: Some(report),
-        });
+        report
     }
-    batch.run_steps.fetch_add(run_steps, Ordering::Relaxed);
-    records
-}
-
-/// Record an attempt the task's local budget never let run.
-fn unrun_record(w: LocalWork) -> AttemptRecord {
-    AttemptRecord {
-        prefix: w.prefix,
-        spawn_steps: w.spawn_steps,
-        spawn_depth: w.spawn_depth,
-        ran: false,
-        pruned: 0,
-        steps_run: 0,
-        queries: Vec::new(),
-        terminal: None,
-    }
-}
-
-/// Offer a subtree to the shared queue. Declined (returned to the
-/// caller for local exploration) when running single-worker, when the
-/// queue already holds enough work to keep every worker fed, or after
-/// a fatal worker crash.
-fn try_publish(batch: &Batch<'_>, child: Task) -> Option<Task> {
-    if batch.jobs < 2 {
-        return Some(child);
-    }
-    let mut q = batch.queue.lock().unwrap_or_else(|e| e.into_inner());
-    if q.fatal.is_some() || q.tasks.len() >= batch.jobs * 2 {
-        return Some(child);
-    }
-    q.tasks.push(child);
-    batch.published.fetch_add(1, Ordering::Relaxed);
-    batch.cv.notify_one();
-    None
 }
 
 /// Probe whether `cond` is satisfiable under the current path prefix.
@@ -1341,82 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reports_are_byte_identical_across_jobs() {
-        let filters = [
-            shrink_loop_filter(0xC000_0005),
-            shrink_loop_filter(0xC000_0094),
-            spill_widen_filter(),
-        ];
-        for f in &filters {
-            let src = (f.0, f.1.as_slice());
-            // Warm the memo first: report memo-hit counts depend on the
-            // process memo state at batch start, so compare runs from
-            // the same (fully warm) state.
-            let _ = FilterExplorer::builder().build().explore(&src, f.0);
-            let seq = FilterExplorer::builder().build().explore(&src, f.0);
-            for jobs in [2, 4] {
-                let par = FilterExplorer::builder()
-                    .jobs(jobs)
-                    .build()
-                    .explore(&src, f.0);
-                assert_eq!(seq, par, "jobs={jobs} diverged from sequential");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_marker_is_canonical() {
-        let f = shrink_loop_filter(0xC000_0094);
-        let src = (f.0, f.1.as_slice());
-        let _ = FilterExplorer::builder()
-            .max_paths(4)
-            .build()
-            .explore(&src, f.0);
-        let seq = FilterExplorer::builder()
-            .max_paths(4)
-            .build()
-            .explore(&src, f.0);
-        for jobs in [2, 4] {
-            let par = FilterExplorer::builder()
-                .max_paths(4)
-                .jobs(jobs)
-                .build()
-                .explore(&src, f.0);
-            assert_eq!(seq, par, "budget cutoff diverged at jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_filter_exploration() {
-        let a = shrink_loop_filter(0xC000_0005);
-        let b = spill_widen_filter();
-        // One image holding both filters, far enough apart.
-        let mut image = a.1.clone();
-        let b_off = 0x200usize;
-        image.resize(b_off, 0xCC);
-        image.extend_from_slice(&b.1);
-        let src = (a.0, image.as_slice());
-        let entries = [a.0, a.0 + b_off as u64];
-        // Warm the memo so hit counts don't depend on test ordering.
-        for &e in &entries {
-            let _ = FilterExplorer::builder().build().explore(&src, e);
-        }
-        let seq: Vec<ExplorationReport> = entries
-            .iter()
-            .map(|&e| FilterExplorer::builder().build().explore(&src, e))
-            .collect();
-        for jobs in [1, 2, 4] {
-            let (batch, stats) = FilterExplorer::builder()
-                .jobs(jobs)
-                .build()
-                .explore_batch(&src, &entries);
-            assert_eq!(seq, batch, "batch diverged at jobs={jobs}");
-            assert_eq!(stats.jobs, jobs);
-            assert!(stats.tasks >= entries.len() as u64);
-        }
-    }
-
-    #[test]
     fn solver_counter_deltas_scope_a_quiet_section() {
         let f = spill_widen_filter();
         let before = SolverCounters::snapshot();
@@ -1425,48 +812,5 @@ mod tests {
         assert!(d.solver_calls >= r.solver_calls);
         assert!(d.memo_lookups >= r.memo_lookups);
         assert!(d.paths_completed >= r.completed_paths as u64);
-    }
-
-    #[test]
-    fn chaos_panic_is_retried_and_report_is_intact() {
-        use std::sync::atomic::AtomicBool;
-        static FIRED: AtomicBool = AtomicBool::new(false);
-        fn blow_once(_worker: usize, _attempt: u64) {
-            if !FIRED.swap(true, Ordering::SeqCst) {
-                panic!("chaos: exploration worker down");
-            }
-        }
-        let f = shrink_loop_filter(0xC000_0005);
-        let src = (f.0, f.1.as_slice());
-        let _ = FilterExplorer::builder().build().explore(&src, f.0);
-        let seq = FilterExplorer::builder().build().explore(&src, f.0);
-        FIRED.store(false, Ordering::SeqCst);
-        let chaotic = FilterExplorer::builder()
-            .jobs(2)
-            .chaos_hook(blow_once)
-            .build()
-            .explore(&src, f.0);
-        assert!(FIRED.load(Ordering::SeqCst), "hook never fired");
-        assert_eq!(seq, chaotic, "retried run must merge to the same report");
-    }
-
-    #[test]
-    fn chaos_persistent_panic_fails_cleanly() {
-        fn always_blow(_worker: usize, _attempt: u64) {
-            panic!("chaos: persistent worker failure");
-        }
-        let f = shrink_loop_filter(0xC000_0005);
-        let src = (f.0, f.1.as_slice());
-        let ex = FilterExplorer::builder()
-            .jobs(2)
-            .chaos_hook(always_blow)
-            .build();
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| ex.explore(&src, f.0)));
-        let payload = out.expect_err("persistent panic must propagate, not produce a report");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("non-str payload");
-        assert!(msg.contains("persistent worker failure"), "{msg}");
     }
 }

@@ -59,7 +59,7 @@ pub use exec::{
 };
 pub use explorer::{
     paths_completed, paths_pruned, ExplorationReport, FilterExplorer, FilterExplorerBuilder,
-    ParallelStats, PathReport, PathVerdict, SolverCounters,
+    PathReport, PathVerdict, SolverCounters,
 };
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr};
 pub use sat::{solve, solve_reference, Cnf, IncrementalSat, SolveOutcome};

@@ -48,8 +48,8 @@ struct Symtab {
 /// recurs across every query, so after warmup virtually every access is
 /// a lookup of an already-interned name. Readers (the intern fast path,
 /// [`sym_lookup`], [`sym_name`]) share the lock; only the first intern
-/// of a genuinely new name takes the write side. This is what keeps a
-/// fleet of exploration workers from serializing on the interner.
+/// of a genuinely new name takes the write side. This is what keeps the
+/// campaign pool's workers from serializing on the interner.
 static SYMTAB: OnceLock<RwLock<Symtab>> = OnceLock::new();
 
 fn symtab() -> &'static RwLock<Symtab> {

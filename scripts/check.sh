@@ -111,36 +111,6 @@ grep -q '"incremental_beats_independent":true' "$smoke_tmp/solver.json" \
   || { cat "$smoke_tmp/solver.json" >&2
   echo "[check] incremental exploration did not beat independent re-blasting" >&2; exit 1; }
 
-# symex-parallel smoke: the same exploration through the parallel fork
-# scheduler. Determinism is the hard gate — `explore --jobs 4` must
-# reproduce the *same* pinned golden byte for byte (path order, solver
-# counters and all), and the bench must have asserted full-report
-# byte-identity across 1/2/4/8 workers in-binary. The wall-clock floor
-# (parallel_speedup_4 > 1.5) only gates on hardware that can show it:
-# on fewer than 4 cores the sweep records the ratio and we warn.
-echo "[check] symex-parallel smoke (explore --jobs 4 golden + sweep invariants)"
-target/release/crash-resist explore loopy --jobs 4 --json > "$smoke_tmp/explore_par.json"
-if ! diff -u scripts/golden/explore_smoke.json "$smoke_tmp/explore_par.json"; then
-  echo "[check] explore --jobs 4 diverged from scripts/golden/explore_smoke.json" >&2
-  exit 1
-fi
-grep -q '"memo_hits":64' "$smoke_tmp/explore_par.json" \
-  || { echo "[check] parallel explore memo hits fell below the 64-hit floor" >&2; exit 1; }
-grep -q '"reports_byte_identical":true' "$smoke_tmp/solver.json" \
-  || { cat "$smoke_tmp/solver.json" >&2
-  echo "[check] parallel sweep reports were not byte-identical" >&2; exit 1; }
-! grep -q '"verdict_parity":false' "$smoke_tmp/solver.json" \
-  || { cat "$smoke_tmp/solver.json" >&2
-  echo "[check] parallel sweep verdict parity failed" >&2; exit 1; }
-speedup_4="$(sed -n 's/.*"parallel_speedup_4":\([0-9.]*\).*/\1/p' "$smoke_tmp/solver.json")"
-if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
-  awk -v s="${speedup_4:-0}" 'BEGIN { exit !(s > 1.5) }' \
-    || { echo "[check] parallel_speedup_4=${speedup_4:-?} <= 1.5 on a >=4-core machine" >&2
-    exit 1; }
-else
-  echo "[check]   <4 cores: parallel_speedup_4=${speedup_4:-?} recorded, floor not enforced"
-fi
-
 # scan-smoke: the traceless scanner over the harness-less corpus module
 # must reproduce the golden report byte for byte (content hashes,
 # dataflow origins and temporal tags included), and a one-round

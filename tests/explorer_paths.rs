@@ -10,21 +10,10 @@
 //!    explorer (hash-consed arena + watched-literal push/pop) and the
 //!    independent-blast explorer running on the retained reference
 //!    pipeline; merged and per-path results must be identical.
-//! 3. Parallel determinism: the fork scheduler at `jobs ∈ {2,4}` must
-//!    produce byte-identical [`cr_symex::ExplorationReport`]s to the
-//!    sequential explorer — over random branchy filters (proptest) and
-//!    over the whole LOOPY family — and a `worker.panic` chaos run must
-//!    either merge the same report after retry or fail cleanly, never
-//!    return a torn report. Solver-counter checks go through the scoped
-//!    [`SolverCounters`] snapshot/delta API: the raw statics are
-//!    process-global and bleed across concurrently running tests.
 
 use cr_image::{FilterRef, Machine, PeBuilder, PeImage, ScopeEntry};
 use cr_isa::{AluOp, Asm, Cond, Inst, Mem as M, Reg, Rm, Width};
-use cr_symex::{
-    ExplorationReport, FilterExplorer, FilterVerdict, SolverCounters, SymExec,
-    EXCEPTION_ACCESS_VIOLATION,
-};
+use cr_symex::{FilterExplorer, FilterVerdict, SymExec, EXCEPTION_ACCESS_VIOLATION};
 use cr_targets::browsers::{generate_loopy_dll, LOOPY_CASES};
 use proptest::prelude::*;
 
@@ -232,138 +221,4 @@ proptest! {
         prop_assert_eq!(incremental.steps, reference.steps);
     }
 
-    /// Parallel determinism over random branchy filters: any worker
-    /// count must reproduce the sequential report byte for byte. The
-    /// filter is explored once first so the normalized-query memo is
-    /// warm for both runs — report memo counters reflect memo state at
-    /// exploration start, which is the one process-global input.
-    #[test]
-    fn parallel_exploration_matches_sequential(
-        ast in arb_filter(),
-        jobs in prop_oneof![Just(2usize), Just(4usize)],
-    ) {
-        let img = build_module(&ast);
-        let addr = img.image_base + u64::from(img.exports["Filter"]);
-        let code = cr_core::seh::PeCode::new(&img);
-        let _ = FilterExplorer::builder().build().explore(&code, addr);
-        let sequential = FilterExplorer::builder().build().explore(&code, addr);
-        let parallel = FilterExplorer::builder()
-            .jobs(jobs)
-            .build()
-            .explore(&code, addr);
-        prop_assert_eq!(&sequential, &parallel, "jobs={} for {:?}", jobs, ast);
-    }
-}
-
-/// Every filter entry of the LOOPY family, in canonical (sorted RVA)
-/// order — the same batch the CLI's `explore --jobs` runs.
-fn loopy_entries(img: &PeImage) -> Vec<u64> {
-    let mut rvas: Vec<u32> = img
-        .runtime_functions
-        .iter()
-        .flat_map(|rf| rf.unwind.scopes.iter())
-        .filter_map(|s| match s.filter {
-            FilterRef::Function(rva) => Some(rva),
-            FilterRef::CatchAll => None,
-        })
-        .collect();
-    rvas.sort_unstable();
-    rvas.dedup();
-    rvas.iter()
-        .map(|&rva| img.image_base + u64::from(rva))
-        .collect()
-}
-
-#[test]
-fn loopy_family_parallel_batch_is_byte_identical() {
-    let img = generate_loopy_dll();
-    let code = cr_core::seh::PeCode::new(&img);
-    let entries = loopy_entries(&img);
-    // Warm the memo so per-report memo counters don't depend on what
-    // other tests in this process have already explored.
-    for &e in &entries {
-        let _ = FilterExplorer::builder().build().explore(&code, e);
-    }
-    let sequential: Vec<ExplorationReport> = entries
-        .iter()
-        .map(|&e| FilterExplorer::builder().build().explore(&code, e))
-        .collect();
-    for jobs in [2usize, 4] {
-        let before = SolverCounters::snapshot();
-        let (parallel, stats) = FilterExplorer::builder()
-            .jobs(jobs)
-            .build()
-            .explore_batch(&code, &entries);
-        assert_eq!(sequential, parallel, "jobs={jobs}");
-        assert_eq!(stats.jobs, jobs);
-        // Scoped deltas, not absolute statics: other tests may run
-        // concurrently in this process, so the delta is a floor (our
-        // own activity) rather than an exact figure.
-        let d = before.delta();
-        let completed: u64 = parallel.iter().map(|r| r.completed_paths as u64).sum();
-        let pruned: u64 = parallel.iter().map(|r| r.pruned_branches as u64).sum();
-        assert!(
-            d.paths_completed >= completed,
-            "jobs={jobs}: completed delta {} < report total {completed}",
-            d.paths_completed
-        );
-        assert!(
-            d.paths_pruned >= pruned,
-            "jobs={jobs}: pruned delta {} < report total {pruned}",
-            d.paths_pruned
-        );
-        assert!(d.memo_hits <= d.memo_lookups, "jobs={jobs}");
-    }
-}
-
-#[test]
-fn loopy_family_worker_panic_never_tears_the_report() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static FIRED: AtomicBool = AtomicBool::new(false);
-    fn blow_once(_worker: usize, _attempt: u64) {
-        if !FIRED.swap(true, Ordering::SeqCst) {
-            panic!("chaos: exploration worker down");
-        }
-    }
-
-    let img = generate_loopy_dll();
-    let code = cr_core::seh::PeCode::new(&img);
-    let entries = loopy_entries(&img);
-    for &e in &entries {
-        let _ = FilterExplorer::builder().build().explore(&code, e);
-    }
-    let sequential: Vec<ExplorationReport> = entries
-        .iter()
-        .map(|&e| FilterExplorer::builder().build().explore(&code, e))
-        .collect();
-
-    // A one-shot worker panic is retried on a rebuilt session and the
-    // batch still merges to the exact sequential reports.
-    FIRED.store(false, Ordering::SeqCst);
-    let (chaotic, _) = FilterExplorer::builder()
-        .jobs(2)
-        .chaos_hook(blow_once)
-        .build()
-        .explore_batch(&code, &entries);
-    assert!(FIRED.load(Ordering::SeqCst), "chaos hook never fired");
-    assert_eq!(sequential, chaotic, "retried batch must merge identically");
-
-    // A persistent panic propagates as a clean failure: the caller gets
-    // the panic payload, never a partially merged report.
-    fn always_blow(_worker: usize, _attempt: u64) {
-        panic!("chaos: persistent worker failure");
-    }
-    let ex = FilterExplorer::builder()
-        .jobs(2)
-        .chaos_hook(always_blow)
-        .build();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ex.explore_batch(&code, &entries)
-    }));
-    let payload = out.expect_err("persistent panic must propagate, not produce a report");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or("non-str payload");
-    assert!(msg.contains("persistent worker failure"), "{msg}");
 }
