@@ -85,7 +85,6 @@ fn main() {
     let sharded_dir = scratch.join("sharded");
 
     let run = |jobs: usize, dir: PathBuf| {
-        let before = cr_symex::solver_calls();
         let report = run_campaign(
             &spec,
             &EngineConfig {
@@ -96,17 +95,15 @@ fn main() {
             },
         )
         .expect("campaign cache I/O");
-        let m = report.metrics.clone();
-        let results = report.results_json();
-        (m, results, cr_symex::solver_calls() - before)
+        (report.metrics.clone(), report.results_json())
     };
 
     eprintln!("[campaign_scale] serial cold ({modules} modules) ...");
-    let (serial_m, serial_results, serial_solver) = run(1, serial_dir);
+    let (serial_m, serial_results) = run(1, serial_dir);
     eprintln!("[campaign_scale] sharded cold (jobs={jobs}) ...");
-    let (cold_m, cold_results, cold_solver) = run(jobs, sharded_dir.clone());
+    let (cold_m, cold_results) = run(jobs, sharded_dir.clone());
     eprintln!("[campaign_scale] sharded warm ...");
-    let (warm_m, warm_results, warm_solver) = run(jobs, sharded_dir);
+    let (warm_m, warm_results) = run(jobs, sharded_dir);
 
     // Price the tracing spine. One cold run's wall time swings far more
     // than the spine costs, so run paired cold runs — flipping which of
@@ -119,35 +116,34 @@ fn main() {
     let mut traced_first = None;
     let run_traced = |round: usize, traced_best: &mut u64, traced_first: &mut Option<_>| {
         cr_trace::start();
-        let (m, results, solver) = run(jobs, scratch.join(format!("price-traced-{round}")));
+        let (m, results) = run(jobs, scratch.join(format!("price-traced-{round}")));
         let trace = cr_trace::finish();
         *traced_best = (*traced_best).min(m.total_wall_us);
         if traced_first.is_none() {
-            *traced_first = Some((m, results, solver, trace));
+            *traced_first = Some((m, results, trace));
         }
     };
     for round in 0..price_rounds {
         if round % 2 == 0 {
-            let (m, _, _) = run(jobs, scratch.join(format!("price-untraced-{round}")));
+            let (m, _) = run(jobs, scratch.join(format!("price-untraced-{round}")));
             untraced_best = untraced_best.min(m.total_wall_us);
             run_traced(round, &mut traced_best, &mut traced_first);
         } else {
             run_traced(round, &mut traced_best, &mut traced_first);
-            let (m, _, _) = run(jobs, scratch.join(format!("price-untraced-{round}")));
+            let (m, _) = run(jobs, scratch.join(format!("price-untraced-{round}")));
             untraced_best = untraced_best.min(m.total_wall_us);
         }
     }
-    let (traced_m, traced_results, traced_solver, trace) =
-        traced_first.expect("at least one traced round ran");
+    let (traced_m, traced_results, trace) = traced_first.expect("at least one traced round ran");
 
-    let stats = |m: &cr_campaign::CampaignMetrics, solver: u64| RunStats {
+    let stats = |m: &cr_campaign::CampaignMetrics| RunStats {
         wall_us: m.total_wall_us,
         filter_hits: m.cache.filter_hits,
         filter_misses: m.cache.filter_misses,
         module_hits: m.cache.module_hits,
         module_misses: m.cache.module_misses,
         hit_rate: m.cache.hit_rate(),
-        solver_calls: solver,
+        solver_calls: m.solver_calls,
     };
     let deterministic = serial_results == cold_results
         && cold_results == warm_results
@@ -155,10 +151,10 @@ fn main() {
     let report = ScaleReport {
         modules,
         jobs,
-        serial_cold: stats(&serial_m, serial_solver),
-        sharded_cold: stats(&cold_m, cold_solver),
-        sharded_warm: stats(&warm_m, warm_solver),
-        sharded_cold_traced: stats(&traced_m, traced_solver),
+        serial_cold: stats(&serial_m),
+        sharded_cold: stats(&cold_m),
+        sharded_warm: stats(&warm_m),
+        sharded_cold_traced: stats(&traced_m),
         trace_events: trace.events.len(),
         trace_dropped: trace.dropped,
         trace_overhead: traced_best as f64 / untraced_best.max(1) as f64,
@@ -174,7 +170,10 @@ fn main() {
         deterministic,
         "serial, sharded, and traced reports must be byte-identical"
     );
-    assert_eq!(warm_solver, 0, "warm rerun must not touch the SAT solver");
+    assert_eq!(
+        warm_m.solver_calls, 0,
+        "warm rerun must not touch the SAT solver"
+    );
     assert!(
         !trace.events.is_empty(),
         "the traced run must produce events"

@@ -239,7 +239,6 @@ fn main() {
     eprintln!(
         "[serve_load] warm phase: {clients} client(s) x {requests_per_client} request(s) ..."
     );
-    let solver_before = cr_symex::SolverCounters::snapshot();
     let phase_started = Instant::now();
     let workers: Vec<_> = (0..clients)
         .map(|_| {
@@ -249,6 +248,7 @@ fn main() {
                 let mut client = Client::connect(&addr).expect("warm connect");
                 let mut latencies = Vec::with_capacity(requests_per_client);
                 let mut identical = true;
+                let mut solver_calls = 0;
                 for _ in 0..requests_per_client {
                     let started = Instant::now();
                     let response = client
@@ -262,22 +262,24 @@ fn main() {
                         response.error
                     );
                     identical &= response.result.as_deref() == Some(reference.as_slice());
+                    solver_calls += response
+                        .done_u64("solver_calls")
+                        .expect("Done frame carries solver_calls");
                 }
-                (latencies, identical)
+                (latencies, identical, solver_calls)
             })
         })
         .collect();
     let mut latencies: Vec<u64> = Vec::new();
     let mut deterministic = true;
+    let mut solver_calls_warm = 0;
     for w in workers {
-        let (lat, identical) = w.join().expect("client thread");
+        let (lat, identical, solver_calls) = w.join().expect("client thread");
         latencies.extend(lat);
         deterministic &= identical;
+        solver_calls_warm += solver_calls;
     }
     let warm_phase_us = phase_started.elapsed().as_micros() as u64;
-    // Scoped delta, not an absolute read: the invariant is about this
-    // phase's activity only.
-    let solver_calls_warm = solver_before.delta().solver_calls;
 
     // One more warm request with the server otherwise idle: the pure
     // per-request warm cost, no queueing delay.

@@ -34,7 +34,8 @@
 use cr_core::seh::PeCode;
 use cr_image::FilterRef;
 use cr_symex::{
-    BinOp, BoolExpr, CmpOp, ExplorationReport, Expr, FilterExplorer, SatResult, SolverCounters,
+    tally_work, BinOp, BoolExpr, CmpOp, ExplorationReport, Expr, FilterExplorer, SatResult,
+    SolverCounters,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -211,52 +212,46 @@ fn main() {
     let mut rng = Rng(0x5EED_2017_D5A1_7E57);
     let corpus: Vec<Vec<BoolExpr>> = (0..queries).map(|i| gen_query(&mut rng, i)).collect();
 
-    // Scoped snapshot/delta over the process-global solver counters:
-    // each pass measures only its own activity even if anything else in
-    // the process touched the solver.
-    let counters = SolverCounters::snapshot;
-    let delta = |b: SolverCounters| {
-        let d = b.delta();
-        (d.solver_calls, d.memo_lookups, d.memo_hits)
-    };
+    // Each pass runs in its own tally scope, so it counts exactly the
+    // work of its own checks.
 
     // Pass 1: reference pipeline, best of N rounds.
     eprintln!("[solver_bench] reference cold ({queries} queries x {rounds} rounds) ...");
-    let ref_before = counters();
     let mut ref_wall = u64::MAX;
     let mut ref_verdicts = Vec::new();
-    for _ in 0..rounds {
-        let (w, v) = run_pass(&corpus, &|q| cr_symex::check_reference(q));
-        ref_wall = ref_wall.min(w);
-        ref_verdicts = v;
-    }
-    let ref_delta = delta(ref_before);
+    let ((), ref_work) = tally_work(|| {
+        for _ in 0..rounds {
+            let (w, v) = run_pass(&corpus, &|q| cr_symex::check_reference(q));
+            ref_wall = ref_wall.min(w);
+            ref_verdicts = v;
+        }
+    });
 
     // Pass 2: interned pipeline, memo reset before every round so each
     // round blasts and solves every query from scratch.
     eprintln!("[solver_bench] interned cold ...");
-    let cold_before = counters();
     let mut cold_wall = u64::MAX;
     let mut cold_verdicts = Vec::new();
-    for _ in 0..rounds {
-        cr_symex::reset_query_memo();
-        let (w, v) = run_pass(&corpus, &|q| cr_symex::check(q));
-        cold_wall = cold_wall.min(w);
-        cold_verdicts = v;
-    }
-    let cold_delta = delta(cold_before);
+    let ((), cold_work) = tally_work(|| {
+        for _ in 0..rounds {
+            cr_symex::reset_query_memo();
+            let (w, v) = run_pass(&corpus, &|q| cr_symex::check(q));
+            cold_wall = cold_wall.min(w);
+            cold_verdicts = v;
+        }
+    });
 
     // Pass 3: same corpus, memo left warm from the last cold round.
     eprintln!("[solver_bench] memo warm ...");
-    let warm_before = counters();
     let mut warm_wall = u64::MAX;
     let mut warm_verdicts = Vec::new();
-    for _ in 0..rounds {
-        let (w, v) = run_pass(&corpus, &|q| cr_symex::check(q));
-        warm_wall = warm_wall.min(w);
-        warm_verdicts = v;
-    }
-    let warm_delta = delta(warm_before);
+    let ((), warm_work) = tally_work(|| {
+        for _ in 0..rounds {
+            let (w, v) = run_pass(&corpus, &|q| cr_symex::check(q));
+            warm_wall = warm_wall.min(w);
+            warm_verdicts = v;
+        }
+    });
 
     // Pass 4: the path explorer over the loopy family, incremental
     // push/pop vs per-path re-blast. The memo is reset before every
@@ -276,25 +271,26 @@ fn main() {
         .collect();
     filter_rvas.sort_unstable();
     filter_rvas.dedup();
-    let explore_mode = |incremental: bool| -> (u64, (u64, u64, u64), Vec<ExplorationReport>) {
+    let explore_mode = |incremental: bool| -> (u64, SolverCounters, Vec<ExplorationReport>) {
         let explorer = FilterExplorer::builder().incremental(incremental).build();
-        let before = counters();
         let mut wall = u64::MAX;
         let mut reports = Vec::new();
-        for _ in 0..rounds {
-            cr_symex::reset_query_memo();
-            let start = Instant::now();
-            let out: Vec<ExplorationReport> = filter_rvas
-                .iter()
-                .map(|&rva| explorer.explore(&pe_code, image.image_base + u64::from(rva)))
-                .collect();
-            wall = wall.min(start.elapsed().as_micros() as u64);
-            reports = out;
-        }
-        (wall, delta(before), reports)
+        let ((), work) = tally_work(|| {
+            for _ in 0..rounds {
+                cr_symex::reset_query_memo();
+                let start = Instant::now();
+                let out: Vec<ExplorationReport> = filter_rvas
+                    .iter()
+                    .map(|&rva| explorer.explore(&pe_code, image.image_base + u64::from(rva)))
+                    .collect();
+                wall = wall.min(start.elapsed().as_micros() as u64);
+                reports = out;
+            }
+        });
+        (wall, work, reports)
     };
-    let (inc_wall, inc_delta, inc_reports) = explore_mode(true);
-    let (ind_wall, ind_delta, ind_reports) = explore_mode(false);
+    let (inc_wall, inc_work, inc_reports) = explore_mode(true);
+    let (ind_wall, ind_work, ind_reports) = explore_mode(false);
     let mut paths_parity = inc_reports.len() == ind_reports.len();
     for (i, (a, b)) in inc_reports.iter().zip(&ind_reports).enumerate() {
         if a.verdict != b.verdict
@@ -313,18 +309,18 @@ fn main() {
         }
     }
 
-    let paths_stats = |wall: u64, d: (u64, u64, u64)| PathsPassStats {
+    let paths_stats = |wall: u64, w: SolverCounters| PathsPassStats {
         wall_us: wall,
-        solver_calls: d.0,
-        memo_lookups: d.1,
-        memo_hits: d.2,
+        solver_calls: w.solver_calls,
+        memo_lookups: w.memo_lookups,
+        memo_hits: w.memo_hits,
     };
     let paths_report = PathsReport {
         filters: filter_rvas.len(),
         paths: inc_reports.iter().map(|r| r.paths.len()).sum(),
         rounds,
-        incremental: paths_stats(inc_wall, inc_delta),
-        independent: paths_stats(ind_wall, ind_delta),
+        incremental: paths_stats(inc_wall, inc_work),
+        independent: paths_stats(ind_wall, ind_work),
         incremental_speedup: ind_wall as f64 / inc_wall.max(1) as f64,
         incremental_beats_independent: inc_wall < ind_wall,
         verdict_parity: paths_parity,
@@ -361,12 +357,12 @@ fn main() {
         }
     }
 
-    let stats = |wall: u64, d: (u64, u64, u64)| PassStats {
+    let stats = |wall: u64, w: SolverCounters| PassStats {
         wall_us: wall,
         queries_per_sec: queries as f64 / (wall.max(1) as f64 / 1e6),
-        solver_calls: d.0,
-        memo_lookups: d.1,
-        memo_hits: d.2,
+        solver_calls: w.solver_calls,
+        memo_lookups: w.memo_lookups,
+        memo_hits: w.memo_hits,
     };
     let report = SolverReport {
         queries,
@@ -374,9 +370,9 @@ fn main() {
         sat,
         unsat,
         unknown,
-        reference_cold: stats(ref_wall, ref_delta),
-        interned_cold: stats(cold_wall, cold_delta),
-        memo_warm: stats(warm_wall, warm_delta),
+        reference_cold: stats(ref_wall, ref_work),
+        interned_cold: stats(cold_wall, cold_work),
+        memo_warm: stats(warm_wall, warm_work),
         cold_speedup: ref_wall as f64 / cold_wall.max(1) as f64,
         warm_speedup: cold_wall as f64 / warm_wall.max(1) as f64,
         verdict_parity: parity,

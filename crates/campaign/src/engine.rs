@@ -24,15 +24,16 @@
 
 use crate::cache::{AnalysisCache, ScanSummary, SehSummary, SharedVerdictCache};
 use crate::error::{ErrorCounts, TaskError, TaskErrorKind};
-use crate::metrics::{CampaignMetrics, SolverStats};
+use crate::metrics::CampaignMetrics;
 use crate::pool::{run_pool, PoolConfig, TaskCtx, DEFAULT_DEADLINE_MS};
 use crate::spec::{CampaignSpec, CampaignTask, TaskKind};
 use cr_arena::{ArenaConfig, ArenaSummary};
 use cr_chaos::{FaultInjector, FaultKind, Site};
 use cr_core::seh::{self, analyze_module_cached, NoCache};
+use cr_symex::SolverCounters;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Engine knobs (the CLI's `--jobs/--cache/--retries/--deadline-ms`).
@@ -250,7 +251,6 @@ pub fn run_campaign_with_cache(
     cache: &AnalysisCache,
 ) -> CampaignReport {
     let quarantined = cache.quarantined();
-    let solver_before = cr_symex::SolverCounters::snapshot();
     let cache_before = cache.stats();
     let injector = cfg.injector.as_deref();
     let labels: Vec<(String, TaskKind)> =
@@ -271,13 +271,21 @@ pub fn run_campaign_with_cache(
     // deterministic event sequence must not vary with `--jobs`.
     let mut pool_span = cr_trace::span(cr_trace::Stage::Schedule, "pool");
     pool_span.set_detail(|| format!("tasks={}", spec.tasks.len()));
+    // Each attempt tallies the solver work of its own worker thread, so
+    // the run's counts are exactly its attempts' work, whatever else
+    // the process runs. An attempt that panics contributes nothing.
+    let work = Mutex::new(SolverCounters::default());
     let execs = run_pool(&pool_cfg, spec.tasks.len(), |ctx| {
         // Identity goes into the detail up front so an unwinding panic
         // still leaves an attributable span; the outcome is appended
         // only when the attempt returns normally.
         let mut span = cr_trace::span(cr_trace::Stage::Schedule, "attempt");
         span.set_detail(|| labels[ctx.index].0.clone());
-        let outcome = execute_task(&spec.tasks[ctx.index], cache, injector, ctx);
+        let (outcome, spent) =
+            cr_symex::tally_work(|| execute_task(&spec.tasks[ctx.index], cache, injector, ctx));
+        *work
+            .lock()
+            .expect("no attempt panics while holding the tally") += spent;
         span.append_detail(|| match &outcome {
             Ok(_) => "ok".into(),
             Err(e) => format!("err={}", e.kind.name()),
@@ -308,16 +316,8 @@ pub fn run_campaign_with_cache(
     let metrics = CampaignMetrics::from_executions(
         cfg.jobs.max(1),
         total_wall_us,
-        {
-            let d = solver_before.delta();
-            SolverStats {
-                calls: d.solver_calls,
-                memo_lookups: d.memo_lookups,
-                memo_hits: d.memo_hits,
-                paths_completed: d.paths_completed,
-                paths_pruned: d.paths_pruned,
-            }
-        },
+        work.into_inner()
+            .expect("no attempt panics while holding the tally"),
         quarantined,
         crate::cache::CacheStatsSnapshot {
             filter_hits: cache_now.filter_hits - cache_before.filter_hits,

@@ -64,7 +64,7 @@ pub use engine::{
     TaskRecord, TaskResult,
 };
 pub use error::{ErrorCounts, TaskError, TaskErrorKind};
-pub use metrics::{CampaignMetrics, SolverStats, TaskMetrics};
+pub use metrics::{CampaignMetrics, TaskMetrics};
 pub use pool::{run_pool, PoolConfig, TaskCtx, TaskExecution, DEFAULT_DEADLINE_MS};
 pub use report::{Report, ReportKind, SCHEMA_VERSION};
 pub use spec::{CampaignSpec, CampaignTask, TaskKind, DEFAULT_SEED};

@@ -10,6 +10,7 @@ use crate::cache::CacheStatsSnapshot;
 use crate::error::TaskErrorKind;
 use crate::pool::TaskExecution;
 use crate::spec::TaskKind;
+use cr_symex::SolverCounters;
 
 /// Scheduling/outcome metadata for one task.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -19,7 +20,7 @@ pub struct TaskMetrics {
     /// Human-readable label (`seh:user32`, …).
     pub label: String,
     /// Task family; serializes to `server` / `seh` / `funnel` / `poc`
-    /// exactly as the former free-form string did.
+    /// / `scan` / `arena`.
     pub kind: TaskKind,
     /// Whether the task produced a result.
     pub ok: bool,
@@ -33,22 +34,6 @@ pub struct TaskMetrics {
     pub wall_us: u64,
     /// Milliseconds slept in retry backoff.
     pub backoff_ms: u64,
-}
-
-/// Decision-procedure counter deltas for one campaign run, sampled
-/// from the process-wide `cr-symex` counters before and after.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// `check` invocations.
-    pub calls: u64,
-    /// Normalized-query memo probes.
-    pub memo_lookups: u64,
-    /// Normalized-query memo hits.
-    pub memo_hits: u64,
-    /// Explorer paths run to completion ([`cr_symex::paths_completed`]).
-    pub paths_completed: u64,
-    /// Infeasible branch sides pruned ([`cr_symex::paths_pruned`]).
-    pub paths_pruned: u64,
 }
 
 /// Whole-campaign metrics.
@@ -67,23 +52,22 @@ pub struct CampaignMetrics {
     pub task_wall_us: u64,
     /// Total milliseconds slept in retry backoff across all tasks.
     pub backoff_ms: u64,
-    /// SAT-solver invocations during this campaign (delta of the
-    /// process-wide [`cr_symex::solver_calls`] counter). Zero on a
-    /// fully warm rerun. Memo hits count: they are check invocations,
-    /// answered without blasting or solving.
+    /// SAT-solver invocations made by this run's task attempts, each
+    /// attempt tallied on its own worker thread. Zero on a fully warm
+    /// rerun. Memo hits count: they are check invocations, answered
+    /// without blasting or solving.
     pub solver_calls: u64,
-    /// Normalized-query memo probes during this campaign (delta of
-    /// [`cr_symex::memo_lookups`]).
+    /// Normalized-query memo probes made by this run's attempts.
     pub solver_memo_lookups: u64,
-    /// Normalized-query memo hits during this campaign (delta of
-    /// [`cr_symex::memo_hits`]) — structurally repeated queries
-    /// answered beneath the content-addressed verdict cache.
+    /// Memo probes of this run's attempts that found an entry —
+    /// structurally repeated queries answered beneath the
+    /// content-addressed verdict cache.
     pub solver_memo_hits: u64,
-    /// Explorer paths run to a `ret` during this campaign (delta of
-    /// [`cr_symex::paths_completed`]). Zero on a fully warm rerun.
+    /// Explorer paths run to a `ret` by this run's attempts. Zero on a
+    /// fully warm rerun.
     pub paths_completed: u64,
-    /// Infeasible branch sides pruned during this campaign (delta of
-    /// [`cr_symex::paths_pruned`]) — what bounds loopy filters.
+    /// Infeasible branch sides pruned by this run's attempts — what
+    /// bounds loopy filters.
     pub paths_pruned: u64,
     /// Cache lines quarantined while loading `--cache DIR`.
     pub quarantined: u64,
@@ -98,7 +82,7 @@ impl CampaignMetrics {
     pub fn from_executions<T>(
         jobs: usize,
         total_wall_us: u64,
-        solver: SolverStats,
+        solver: SolverCounters,
         quarantined: u64,
         cache: CacheStatsSnapshot,
         labels: &[(String, TaskKind)],
@@ -124,7 +108,7 @@ impl CampaignMetrics {
             total_wall_us,
             task_wall_us: tasks.iter().map(|t| t.wall_us).sum(),
             backoff_ms: tasks.iter().map(|t| t.backoff_ms).sum(),
-            solver_calls: solver.calls,
+            solver_calls: solver.solver_calls,
             solver_memo_lookups: solver.memo_lookups,
             solver_memo_hits: solver.memo_hits,
             paths_completed: solver.paths_completed,

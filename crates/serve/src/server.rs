@@ -7,7 +7,8 @@
 //! verdicts, module summaries, resident parsed images) plus the
 //! `cr-symex` normalized-query memo, which is process-global already.
 //! The Nth request for a module therefore does zero image generation,
-//! zero parsing, and zero solver calls.
+//! zero parsing, and zero solver calls. The solver counts in a `Done`
+//! frame are that request's own campaign metrics.
 //!
 //! ## Admission and backpressure
 //!

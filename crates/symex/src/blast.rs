@@ -31,35 +31,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide count of [`check`] invocations.
-///
-/// Lets harnesses (the campaign engine's warm-cache acceptance check,
-/// benchmarks) assert how much solver work a pipeline actually did —
-/// e.g. that a fully cached rerun performs **zero** solver calls. Memo
-/// hits still count: they are check invocations, answered cheaply.
-static SOLVER_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of normalized-query memo probes.
-static MEMO_LOOKUPS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of normalized-query memo hits.
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Total satisfiability checks performed by this process so far.
-pub fn solver_calls() -> u64 {
-    SOLVER_CALLS.load(Ordering::Relaxed)
-}
-
-/// Total normalized-query memo probes so far.
-pub fn memo_lookups() -> u64 {
-    MEMO_LOOKUPS.load(Ordering::Relaxed)
-}
-
-/// Total normalized-query memo hits so far.
-pub fn memo_hits() -> u64 {
-    MEMO_HITS.load(Ordering::Relaxed)
-}
-
 /// Memoized outcome of one normalized query. Sat models are stored by
 /// normalized variable index and renamed back on a hit.
 #[derive(Debug, Clone)]
@@ -70,8 +41,8 @@ enum MemoEntry {
 }
 
 /// One memo slot: the cached outcome plus the global insertion
-/// generation, so an exploration's tally can tell entries that predate
-/// it from entries inserted while it ran (see [`tally_queries`]).
+/// generation, so a tally scope can tell entries that predate it from
+/// entries inserted while it was open (see [`tally_work`]).
 #[derive(Debug, Clone)]
 struct MemoSlot {
     gen: u64,
@@ -104,25 +75,19 @@ fn memo_shard(key: &[u8]) -> usize {
     (h as usize) & (MEMO_SHARDS - 1)
 }
 
-/// Count one satisfiability check, process-wide and in this thread's
-/// active tally.
+/// Count one satisfiability check in this thread's open tally scope.
 fn count_call() {
-    SOLVER_CALLS.fetch_add(1, Ordering::Relaxed);
     with_tally(|t| t.counts.solver_calls += 1);
 }
 
-/// Probe the memo for `key`, counting the lookup (and a hit)
-/// process-wide and in this thread's active tally.
+/// Probe the memo for `key`, counting the lookup (and a hit) in this
+/// thread's open tally scope.
 fn memo_probe(key: &[u8]) -> Option<MemoEntry> {
     let slot = QUERY_MEMO[memo_shard(key)]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .get(key)
         .cloned();
-    MEMO_LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    if slot.is_some() {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-    }
     with_tally(|t| {
         t.counts.memo_lookups += 1;
         if let Some(slot) = &slot {
@@ -158,9 +123,14 @@ pub fn reset_query_memo() {
     }
 }
 
-/// Solver work counted inside one [`tally_queries`] scope.
+/// Solver and explorer work counted inside one [`tally_work`] scope.
+///
+/// Counts are values: a scope returns the work its own thread did
+/// while it was open, so concurrent requests, tests and fleet workers
+/// never show in each other's numbers. The campaign engine sums the
+/// scopes of its attempts into its run metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct QueryTally {
+pub struct SolverCounters {
     /// Satisfiability checks, memo hits and short-circuits included.
     pub solver_calls: u64,
     /// Normalized-query memo probes.
@@ -168,6 +138,20 @@ pub(crate) struct QueryTally {
     /// Probes that found an entry inserted before the scope opened, or
     /// one the scope itself had already probed or inserted.
     pub memo_hits: u64,
+    /// Explorer paths run to a `ret`.
+    pub paths_completed: u64,
+    /// Branch sides the explorer pruned as infeasible.
+    pub paths_pruned: u64,
+}
+
+impl std::ops::AddAssign for SolverCounters {
+    fn add_assign(&mut self, o: SolverCounters) {
+        self.solver_calls += o.solver_calls;
+        self.memo_lookups += o.memo_lookups;
+        self.memo_hits += o.memo_hits;
+        self.paths_completed += o.paths_completed;
+        self.paths_pruned += o.paths_pruned;
+    }
 }
 
 /// The open tally scope of one thread.
@@ -179,7 +163,7 @@ struct Tally {
     /// inserted. A slot's generation names its key for as long as the
     /// slot lives, so no key needs to be kept.
     touched: HashSet<u64>,
-    counts: QueryTally,
+    counts: SolverCounters,
 }
 
 thread_local! {
@@ -196,25 +180,41 @@ fn with_tally(f: impl FnOnce(&mut Tally)) {
     });
 }
 
-/// Run `f` and count the solver work it does on this thread. Checks
-/// issued by other threads never show in the tally, and neither do
-/// memo entries they insert while `f` runs, so the counts depend only
-/// on `f` and the memo state at entry. An enclosing scope is suspended
-/// for the duration and restored afterwards, also if `f` panics.
-pub(crate) fn tally_queries<R>(f: impl FnOnce() -> R) -> (R, QueryTally) {
-    struct Restore(Option<Tally>);
-    impl Drop for Restore {
+/// Count finished explorer paths in this thread's open tally scope.
+pub(crate) fn count_paths(completed: u64, pruned: u64) {
+    with_tally(|t| {
+        t.counts.paths_completed += completed;
+        t.counts.paths_pruned += pruned;
+    });
+}
+
+/// Run `f` and count the solver and explorer work it does on this
+/// thread. Checks issued by other threads never show in the counts,
+/// and neither do memo entries they insert while `f` runs, so the
+/// counts depend only on `f` and the memo state at entry.
+///
+/// Scopes nest: when this one closes, also if `f` panics, its counts
+/// and the memo entries it touched fold into the enclosing scope, so an
+/// outer scope sees all work done on its thread while it was open.
+pub fn tally_work<R>(f: impl FnOnce() -> R) -> (R, SolverCounters) {
+    struct Close(Option<Tally>);
+    impl Drop for Close {
         fn drop(&mut self) {
-            let outer = self.0.take();
+            let mut outer = self.0.take();
+            let inner = TALLY.with(|t| t.borrow_mut().take());
+            if let (Some(outer), Some(inner)) = (outer.as_mut(), inner) {
+                outer.counts += inner.counts;
+                outer.touched.extend(inner.touched);
+            }
             TALLY.with(|t| *t.borrow_mut() = outer);
         }
     }
     let scope = Tally {
         epoch: MEMO_GEN.load(Ordering::Relaxed),
         touched: HashSet::new(),
-        counts: QueryTally::default(),
+        counts: SolverCounters::default(),
     };
-    let _restore = Restore(TALLY.with(|t| t.replace(Some(scope))));
+    let _close = Close(TALLY.with(|t| t.replace(Some(scope))));
     let out = f();
     let counts = TALLY.with(|t| t.borrow().as_ref().map(|t| t.counts));
     (out, counts.unwrap_or_default())
@@ -1458,15 +1458,16 @@ mod tests {
         // Fresh names so no earlier test primed these structures.
         let p = Expr::var("memo_test_p", 32);
         let q = Expr::var("memo_test_q", 32);
-        let (r1, first) = tally_queries(|| check(&[eq64(p, Expr::c(0x1234_5678))]));
+        let (r1, first) = tally_work(|| check(&[eq64(p, Expr::c(0x1234_5678))]));
         assert_eq!(first.memo_hits, 0, "first query is a miss");
-        let (r2, second) = tally_queries(|| check(&[eq64(q, Expr::c(0x1234_5678))]));
+        let (r2, second) = tally_work(|| check(&[eq64(q, Expr::c(0x1234_5678))]));
         assert_eq!(
             second,
-            QueryTally {
+            SolverCounters {
                 solver_calls: 1,
                 memo_lookups: 1,
-                memo_hits: 1
+                memo_hits: 1,
+                ..SolverCounters::default()
             },
             "alpha-equivalent query must hit the memo"
         );
@@ -1587,7 +1588,7 @@ mod tests {
         reset_query_memo();
         let p = Expr::var("sess_memo_p", 32);
         let q = Expr::var("sess_memo_q", 32);
-        let ((r1, r2), tally) = tally_queries(|| {
+        let ((r1, r2), tally) = tally_work(|| {
             let mut sess = Session::new();
             sess.push(&eq64(p, Expr::c(0xDEAD_0001))).unwrap();
             let r1 = sess.check();
@@ -1615,7 +1616,7 @@ mod tests {
         // between the warm scope's entry and its probe.
         let _memo = memo_reset_lock();
         let shape = || [eq64(Expr::var("tally_thread_x", 32), Expr::c(0xFEED_0042))];
-        let ((), tally) = tally_queries(|| {
+        let ((), tally) = tally_work(|| {
             // Another thread solves the shape first: its check is not
             // ours, and the entry it inserted is newer than our scope.
             std::thread::spawn(move || check(&shape())).join().unwrap();
@@ -1624,15 +1625,35 @@ mod tests {
         });
         assert_eq!(
             tally,
-            QueryTally {
+            SolverCounters {
                 solver_calls: 2,
                 memo_lookups: 2,
-                memo_hits: 1
+                memo_hits: 1,
+                ..SolverCounters::default()
             },
             "first probe of a raced-in entry misses, the repeat hits"
         );
-        let ((), warm) = tally_queries(|| assert!(check(&shape()).is_sat()));
+        let ((), warm) = tally_work(|| assert!(check(&shape()).is_sat()));
         assert_eq!(warm.memo_hits, 1, "entries older than the scope hit");
+    }
+
+    #[test]
+    fn a_panicking_scope_still_folds_into_the_enclosing_one() {
+        // A concurrent reset would drop the inner scope's entry.
+        let _memo = memo_reset_lock();
+        let shape = || [eq64(Expr::var("tally_unwind_x", 32), Expr::c(0x7A11_0E5D))];
+        let ((), outer) = tally_work(|| {
+            let inner = std::panic::catch_unwind(|| {
+                tally_work(|| {
+                    check(&shape());
+                    panic!("mid-scope");
+                })
+            });
+            assert!(inner.is_err());
+            check(&shape());
+        });
+        assert_eq!((outer.solver_calls, outer.memo_lookups), (2, 2));
+        assert_eq!(outer.memo_hits, 1, "the outer scope saw the inner insert");
     }
 
     #[test]

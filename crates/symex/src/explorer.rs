@@ -30,11 +30,16 @@
 //! Exploration is a sequential depth-first walk on the calling thread,
 //! so paths come back in one deterministic order; parallelism lives one
 //! level up, where the campaign pool spreads whole filters over its
-//! workers. The report's solver/memo counters are tallied per
-//! exploration on the exploring thread, so concurrent explorations in
-//! other threads never show in them.
+//! workers.
+//!
+//! Each exploration counts its own work in a [`crate::tally_work`]
+//! scope on the exploring thread: the report carries the solver/memo
+//! counts of that scope, and its completed and pruned paths count in
+//! the scope too. Work in other threads never shows in a report. The
+//! scope folds into any enclosing one when it closes, which is how a
+//! campaign attempt's tally covers every filter it explored.
 
-use crate::blast::{check, tally_queries, SatResult, Session};
+use crate::blast::{check, count_paths, tally_work, SatResult, Session};
 use crate::exec::{
     step_inst, CodeSource, FilterAnalysis, FilterVerdict, PathEnd, StepOut, SymExec, SymState,
     CODE_VAR, EXCEPTION_ACCESS_VIOLATION,
@@ -42,73 +47,6 @@ use crate::exec::{
 use crate::expr::{BoolExpr, CmpOp, Expr};
 use cr_isa::{decode, Inst};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of explorer paths run to a `ret`.
-static PATHS_COMPLETED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of branch sides pruned as infeasible.
-static PATHS_PRUNED: AtomicU64 = AtomicU64::new(0);
-
-/// Total explorer paths completed by this process so far (campaign
-/// metrics delta these, like [`crate::solver_calls`]).
-pub fn paths_completed() -> u64 {
-    PATHS_COMPLETED.load(Ordering::Relaxed)
-}
-
-/// Total infeasible branch sides pruned by this process so far.
-pub fn paths_pruned() -> u64 {
-    PATHS_PRUNED.load(Ordering::Relaxed)
-}
-
-/// A point-in-time snapshot of the five process-global solver and
-/// explorer work counters.
-///
-/// The counters themselves are process-global and bleed across
-/// concurrently running tests and campaign workers, so absolute values
-/// are meaningless in any process that runs more than one thing. Scope
-/// an assertion instead: snapshot before the work, assert on
-/// [`SolverCounters::delta`] after. In a quiet single-threaded section
-/// the delta is exactly the section's own work. For one exploration's
-/// own work, read the counters on its [`ExplorationReport`] instead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Satisfiability checks issued ([`crate::solver_calls`]).
-    pub solver_calls: u64,
-    /// Normalized-query memo probes ([`crate::memo_lookups`]).
-    pub memo_lookups: u64,
-    /// Normalized-query memo hits ([`crate::memo_hits`]).
-    pub memo_hits: u64,
-    /// Explorer paths run to a `ret` ([`paths_completed`]).
-    pub paths_completed: u64,
-    /// Branch sides pruned as infeasible ([`paths_pruned`]).
-    pub paths_pruned: u64,
-}
-
-impl SolverCounters {
-    /// Snapshot the current process-global counter values.
-    pub fn snapshot() -> SolverCounters {
-        SolverCounters {
-            solver_calls: crate::blast::solver_calls(),
-            memo_lookups: crate::blast::memo_lookups(),
-            memo_hits: crate::blast::memo_hits(),
-            paths_completed: paths_completed(),
-            paths_pruned: paths_pruned(),
-        }
-    }
-
-    /// Work done by this process since `self` was snapped.
-    pub fn delta(&self) -> SolverCounters {
-        let now = SolverCounters::snapshot();
-        SolverCounters {
-            solver_calls: now.solver_calls - self.solver_calls,
-            memo_lookups: now.memo_lookups - self.memo_lookups,
-            memo_hits: now.memo_hits - self.memo_hits,
-            paths_completed: now.paths_completed - self.paths_completed,
-            paths_pruned: now.paths_pruned - self.paths_pruned,
-        }
-    }
-}
 
 /// Verdict for one explored path.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
@@ -280,12 +218,14 @@ impl FilterExplorer {
         // Advisory, like the single-shot "filter.vet" span: whether an
         // exploration happens at all can depend on cache scheduling.
         let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.explore");
-        let (mut report, tally) = tally_queries(|| self.walk(code, entry));
-        report.solver_calls = tally.solver_calls;
-        report.memo_lookups = tally.memo_lookups;
-        report.memo_hits = tally.memo_hits;
-        PATHS_COMPLETED.fetch_add(report.completed_paths as u64, Ordering::Relaxed);
-        PATHS_PRUNED.fetch_add(report.pruned_branches as u64, Ordering::Relaxed);
+        let (mut report, work) = tally_work(|| {
+            let report = self.walk(code, entry);
+            count_paths(report.completed_paths as u64, report.pruned_branches as u64);
+            report
+        });
+        report.solver_calls = work.solver_calls;
+        report.memo_lookups = work.memo_lookups;
+        report.memo_hits = work.memo_hits;
         span.set_detail(|| {
             let verdict = match report.verdict {
                 FilterVerdict::AcceptsAccessViolation { .. } => "accepts_av",
@@ -804,13 +744,19 @@ mod tests {
     }
 
     #[test]
-    fn solver_counter_deltas_scope_a_quiet_section() {
-        let f = spill_widen_filter();
-        let before = SolverCounters::snapshot();
-        let r = explore(&f);
-        let d = before.delta();
-        assert!(d.solver_calls >= r.solver_calls);
-        assert!(d.memo_lookups >= r.memo_lookups);
-        assert!(d.paths_completed >= r.completed_paths as u64);
+    fn enclosing_tally_sums_the_explorations_inside_it() {
+        let (f, g) = (spill_widen_filter(), shrink_loop_filter(0xC000_0005));
+        let ((a, b), outer) = crate::tally_work(|| (explore(&f), explore(&g)));
+        assert_eq!(outer.solver_calls, a.solver_calls + b.solver_calls);
+        assert_eq!(outer.memo_lookups, a.memo_lookups + b.memo_lookups);
+        assert_eq!(
+            outer.paths_completed,
+            (a.completed_paths + b.completed_paths) as u64
+        );
+        assert_eq!(
+            outer.paths_pruned,
+            (a.pruned_branches + b.pruned_branches) as u64
+        );
+        assert!(outer.paths_pruned > 0, "the loop filter prunes");
     }
 }

@@ -14,7 +14,9 @@
 //!   hash-consed per-thread term arena ([`term`]), Tseitin bit-blasted
 //!   to CNF, and decided by a two-watched-literal DPLL solver, with a
 //!   process-wide normalized-query memo answering structurally repeated
-//!   queries without solving. Witness models come back as [`Model`];
+//!   queries without solving. Witness models come back as [`Model`],
+//!   and [`tally_work`] counts the checks one thread issues as
+//!   [`SolverCounters`];
 //! * [`FilterExplorer`] — the one-door path explorer: forks at each
 //!   *feasible* branch under a bounded loop-unroll budget and solves
 //!   sibling paths incrementally through a [`Session`] (push/pop over
@@ -49,8 +51,8 @@ mod sat;
 pub mod term;
 
 pub use blast::{
-    check, check_reference, memo_hits, memo_lookups, reset_query_memo, solver_calls,
-    thread_arena_size, with_reference_pipeline, Model, SatResult, Session,
+    check, check_reference, reset_query_memo, tally_work, thread_arena_size,
+    with_reference_pipeline, Model, SatResult, Session, SolverCounters,
 };
 pub use exec::{
     with_step_budget, CodeSource, FilterAnalysis, FilterVerdict, SymExec, CODE_VAR,
@@ -58,8 +60,7 @@ pub use exec::{
     EXCEPTION_EXECUTE_HANDLER,
 };
 pub use explorer::{
-    paths_completed, paths_pruned, ExplorationReport, FilterExplorer, FilterExplorerBuilder,
-    PathReport, PathVerdict, SolverCounters,
+    ExplorationReport, FilterExplorer, FilterExplorerBuilder, PathReport, PathVerdict,
 };
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr};
 pub use sat::{solve, solve_reference, Cnf, IncrementalSat, SolveOutcome};

@@ -3,20 +3,15 @@
 //! * a `--jobs 8` campaign produces **byte-identical** deterministic
 //!   results to a serial run of the same spec;
 //! * a warm rerun against a persisted cache is served almost entirely
-//!   from the cache and never invokes the SAT solver.
+//!   from the cache and never invokes the SAT solver;
+//! * a run's solver and path counters count its own work only, even
+//!   while another campaign runs in the same process.
 
 use cr_campaign::prelude::*;
+use cr_campaign::{run_campaign_with_cache, AnalysisCache};
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// `cr_symex::solver_calls()` is process-wide; tests that count it (or
-/// feed it) take this lock so the harness's parallelism can't bleed
-/// solver calls across tests.
-static SOLO: Mutex<()> = Mutex::new(());
-
-fn solo() -> std::sync::MutexGuard<'static, ()> {
-    SOLO.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 /// A mixed-family spec that touches every task kind without taking
 /// minutes: three SEH modules, one server, a small funnel, one oracle.
@@ -44,7 +39,6 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn sharded_campaign_is_byte_identical_to_serial() {
-    let _guard = solo();
     let spec = mixed_spec();
     let serial = run_campaign(
         &spec,
@@ -78,7 +72,6 @@ fn sharded_campaign_is_byte_identical_to_serial() {
 
 #[test]
 fn warm_rerun_is_served_from_the_cache_without_the_solver() {
-    let _guard = solo();
     let dir = scratch("warm");
     let _ = std::fs::remove_dir_all(&dir);
     let spec = CampaignSpec::builder()
@@ -102,13 +95,10 @@ fn warm_rerun_is_served_from_the_cache_without_the_solver() {
         "first run cannot hit the module cache"
     );
 
-    let solver_before = cr_symex::solver_calls();
     let warm = run_campaign(&spec, &cfg).expect("warm run");
-    let solver_after = cr_symex::solver_calls();
 
     assert_eq!(
-        solver_after - solver_before,
-        0,
+        warm.metrics.solver_calls, 0,
         "warm rerun skips all symbolic execution"
     );
     let s = warm.metrics.cache;
@@ -130,7 +120,6 @@ fn warm_rerun_is_served_from_the_cache_without_the_solver() {
 
 #[test]
 fn failed_tasks_are_isolated_and_reported() {
-    let _guard = solo();
     let spec = CampaignSpec::builder()
         .name("isolation")
         .seed(2017)
@@ -164,4 +153,74 @@ fn failed_tasks_are_isolated_and_reported() {
         report.records[1].result.is_some(),
         "healthy task unaffected"
     );
+}
+
+#[test]
+fn concurrent_runs_count_only_their_own_work() {
+    let spec = CampaignSpec::builder()
+        .name("own-work")
+        .seed(2017)
+        .seh("loopy")
+        .build()
+        .expect("loopy spec is valid");
+    let cfg = EngineConfig {
+        jobs: 1,
+        retries: 0,
+        ..EngineConfig::default()
+    };
+    // Memo hits depend on what the memo already holds, so they are the
+    // one counter left out.
+    let work = |m: &CampaignMetrics| {
+        (
+            m.solver_calls,
+            m.solver_memo_lookups,
+            m.paths_completed,
+            m.paths_pruned,
+        )
+    };
+    let solo = work(&run_campaign_with_cache(&spec, &cfg, &AnalysisCache::new()).metrics);
+    assert!(solo.0 > 0 && solo.2 > 0, "a cold run solves and explores");
+    let warm_cache = AnalysisCache::new();
+    run_campaign_with_cache(&spec, &cfg, &warm_cache);
+
+    // Each round, thread A runs the spec cold while thread B keeps
+    // rerunning it warm until A is done. Nothing is asserted inside the
+    // threads, so a failure cannot leave the other one waiting.
+    const ROUNDS: usize = 3;
+    let start = Barrier::new(2);
+    let cold_done = AtomicUsize::new(0);
+    let (cold, warm) = std::thread::scope(|s| {
+        let cold = s.spawn(|| {
+            (0..ROUNDS)
+                .map(|_| {
+                    start.wait();
+                    let report = run_campaign_with_cache(&spec, &cfg, &AnalysisCache::new());
+                    cold_done.fetch_add(1, Ordering::SeqCst);
+                    work(&report.metrics)
+                })
+                .collect::<Vec<_>>()
+        });
+        let warm = s.spawn(|| {
+            let mut runs = Vec::new();
+            for round in 0..ROUNDS {
+                start.wait();
+                loop {
+                    let m = run_campaign_with_cache(&spec, &cfg, &warm_cache).metrics;
+                    runs.push((m.solver_calls, m.paths_completed));
+                    if cold_done.load(Ordering::SeqCst) > round {
+                        break;
+                    }
+                }
+            }
+            runs
+        });
+        (cold.join().unwrap(), warm.join().unwrap())
+    });
+    for (i, c) in cold.iter().enumerate() {
+        assert_eq!(*c, solo, "cold run {i} counted other work than a solo run");
+    }
+    assert!(warm.len() >= ROUNDS);
+    for (i, w) in warm.iter().enumerate() {
+        assert_eq!(*w, (0, 0), "warm run {i} counted the cold run's work");
+    }
 }

@@ -11,16 +11,6 @@ use cr_campaign::{
     run_campaign, AnalysisCache, CampaignSpec, EngineConfig, CACHE_FILE, QUARANTINE_FILE,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-/// `cr_symex::solver_calls()` is process-wide; tests that count it
-/// take this lock so harness parallelism can't bleed calls across
-/// tests.
-static SOLO: Mutex<()> = Mutex::new(());
-
-fn solo() -> std::sync::MutexGuard<'static, ()> {
-    SOLO.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cr-resilience-{tag}-{}", std::process::id()));
@@ -74,14 +64,12 @@ fn corrupt_matching_lines(dir: &Path, needle: &str) -> u64 {
 
 #[test]
 fn corrupt_records_are_quarantined_and_only_they_are_recomputed() {
-    let _guard = solo();
     let dir = scratch("quarantine");
     let spec = seh_spec();
     let cfg = cfg_for(&dir);
 
-    let before_cold = cr_symex::solver_calls();
     let cold = run_campaign(&spec, &cfg).expect("cold run");
-    let cold_solver = cr_symex::solver_calls() - before_cold;
+    let cold_solver = cold.metrics.solver_calls;
     assert!(!cold.degraded);
     assert!(cold_solver > 0, "cold run must exercise the solver");
 
@@ -93,9 +81,8 @@ fn corrupt_records_are_quarantined_and_only_they_are_recomputed() {
         + corrupt_matching_lines(&dir, "\"kind\":\"filter\"");
     assert!(corrupted >= 2, "spec must have cached filters + user32");
 
-    let before_warm = cr_symex::solver_calls();
     let warm = run_campaign(&spec, &cfg).expect("warm run over damaged store");
-    let warm_solver = cr_symex::solver_calls() - before_warm;
+    let warm_solver = warm.metrics.solver_calls;
 
     assert!(!warm.degraded, "quarantine never degrades the campaign");
     assert_eq!(warm.errors.cache_corrupt, corrupted);
@@ -133,7 +120,6 @@ fn corrupt_records_are_quarantined_and_only_they_are_recomputed() {
 
 #[test]
 fn interrupted_save_leaves_previous_store_intact() {
-    let _guard = solo();
     let dir = scratch("torn-save");
     let spec = seh_spec();
     let cfg = cfg_for(&dir);
@@ -167,7 +153,6 @@ fn interrupted_save_leaves_previous_store_intact() {
 
 #[test]
 fn garbage_suffix_in_store_is_not_fatal_to_a_campaign() {
-    let _guard = solo();
     let dir = scratch("garbage");
     let spec = seh_spec();
     let cfg = cfg_for(&dir);

@@ -7,15 +7,6 @@
 
 use cr_campaign::{run_campaign, CampaignSpec, EngineConfig};
 use cr_serve::{Client, ServeConfig, Server};
-use std::sync::Mutex;
-
-/// `cr_symex`'s solver counters are process-wide; serialize against
-/// the harness's parallelism exactly like `campaign_determinism`.
-static SOLO: Mutex<()> = Mutex::new(());
-
-fn solo() -> std::sync::MutexGuard<'static, ()> {
-    SOLO.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn warm_spec() -> CampaignSpec {
     CampaignSpec::builder()
@@ -30,7 +21,6 @@ fn warm_spec() -> CampaignSpec {
 
 #[test]
 fn second_request_is_served_from_warm_state_byte_identical() {
-    let _guard = solo();
     let spec = warm_spec();
 
     // The reference: a one-shot batch campaign, no serve layer at all.
