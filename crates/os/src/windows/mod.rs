@@ -17,13 +17,19 @@
 //!
 //! Every dispatched exception is appended to [`WinProc::fault_log`]; the
 //! rate-based defense of §VII-C consumes that log.
+//!
+//! Idle time is cheap: when no hook observes ([`cr_vm::NullHook`]), the
+//! scheduler jumps a polling thread over the `hlt`-ended cycles it would
+//! repeat bit for bit, advancing only virtual time and step counts (see
+//! `WinProc::fast_forward`). Everything observable stays as if each
+//! cycle had been stepped.
 
 pub mod api;
 
 use crate::{OsHook, STEPS_PER_MS};
 use api::{execute_api, ApiOutcome, ApiTable};
 use cr_image::{FilterRef, PeImage};
-use cr_vm::{Cpu, Exit, Fault, Memory, NullHook, Prot};
+use cr_vm::{Cpu, Exit, Fault, Flags, Memory, NullHook, Prot};
 
 /// `STATUS_ACCESS_VIOLATION`.
 pub const STATUS_ACCESS_VIOLATION: u32 = 0xC000_0005;
@@ -118,6 +124,42 @@ enum TState {
     Sleeping(u64),
     Parked,
     Exited,
+}
+
+/// What a slice of one thread depends on and produces: the thread's
+/// architectural state plus the memory's store and mapping counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SliceState {
+    regs: [u64; 16],
+    rip: u64,
+    flags: Flags,
+    writes: u64,
+    generation: u64,
+}
+
+/// A [`SliceState`] with the clocks it was read at.
+#[derive(Debug, Clone, Copy)]
+struct SliceMark {
+    state: SliceState,
+    vtime: u64,
+    steps: u64,
+}
+
+impl SliceMark {
+    fn of(p: &WinProc, i: usize) -> SliceMark {
+        let cpu = &p.threads[i].cpu;
+        SliceMark {
+            state: SliceState {
+                regs: cpu.regs,
+                rip: cpu.rip,
+                flags: cpu.flags,
+                writes: p.mem.writes(),
+                generation: p.mem.generation(),
+            },
+            vtime: p.vtime,
+            steps: cpu.steps,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -308,11 +350,10 @@ impl WinProc {
             self.mem.write_u64(rsp, TRAP_PAGE).expect("stack mapped");
             cpu.set_reg(cr_isa::Reg::Rsp, rsp);
             self.threads[main].state = TState::Runnable;
-            // Synthetic call event: the harness "calls" the entry, so
-            // stack-walking hooks see the root frame (JS-context checks).
-            let cpu_snapshot = self.threads[main].cpu.clone();
-            hook.on_call(&cpu_snapshot, TRAP_PAGE, addr);
         }
+        // Synthetic call event: the harness "calls" the entry, so
+        // stack-walking hooks see the root frame (JS-context checks).
+        hook.on_call(&self.threads[main].cpu, TRAP_PAGE, addr);
         let budget_end = self.vtime.saturating_add(max_steps);
         loop {
             if let Some(c) = self.crashed {
@@ -366,15 +407,7 @@ impl WinProc {
         }
         let Some(i) = idx else {
             // Jump virtual time to the next sleeper, if within budget.
-            let next = self
-                .threads
-                .iter()
-                .filter_map(|t| match t.state {
-                    TState::Sleeping(d) => Some(d),
-                    _ => None,
-                })
-                .min();
-            match next {
+            match self.next_wake() {
                 Some(d) if d <= budget_end => {
                     self.vtime = d.max(self.vtime + 1);
                     return true;
@@ -384,6 +417,9 @@ impl WinProc {
         };
         self.cur = i;
         hook.on_schedule(self.threads[i].tid);
+        // Where the slice started, while it may still turn out pure (see
+        // `fast_forward`); a hook that observes rules the skip out.
+        let mut start = (!hook.observes()).then(|| SliceMark::of(self, i));
         let slice_end = budget_end.min(self.vtime + QUANTUM);
         while self.vtime < slice_end
             && self.threads[i].state == TState::Runnable
@@ -395,14 +431,22 @@ impl WinProc {
                 break;
             }
             if self.api.contains(rip) {
+                start = None;
                 self.dispatch_api(i, hook);
                 continue;
             }
             let exit = self.threads[i].cpu.step(&mut self.mem, hook);
             self.vtime += 1;
             match exit {
-                Exit::Normal | Exit::Breakpoint | Exit::Hypercall | Exit::Syscall => {}
-                Exit::Halt => break, // cooperative yield
+                Exit::Normal => {}
+                Exit::Breakpoint | Exit::Hypercall | Exit::Syscall => start = None,
+                Exit::Halt => {
+                    // Cooperative yield: the end of a pure slice.
+                    if let Some(start) = start {
+                        self.fast_forward(i, start, budget_end);
+                    }
+                    break;
+                }
                 Exit::Fault(f) => {
                     self.dispatch_exception(i, STATUS_ACCESS_VIOLATION, Some(f), hook);
                     break;
@@ -414,6 +458,51 @@ impl WinProc {
             }
         }
         true
+    }
+
+    /// Skip whole repetitions of the pure slice thread `i` just ran, if
+    /// the slice was a fixed point.
+    ///
+    /// A *pure* slice retires only plain instructions and ends in `hlt`:
+    /// no API dispatch, exception, syscall/int3/cpuid, trap-page park or
+    /// quantum cut. If it also left the thread's registers, `rip` and
+    /// flags as it found them and wrote no memory, the next slice of the
+    /// thread is bit for bit the same, and so is every one after it until
+    /// something else changes. So with no other thread runnable, `k`
+    /// further cycles cost only their virtual time and retired steps:
+    /// `k` is bounded so every skipped cycle ends at or before
+    /// `budget_end` and every skipped slice starts before the earliest
+    /// sleeper's deadline. Only called for a hook that does not observe,
+    /// since a skipped cycle fires no hook callbacks.
+    fn fast_forward(&mut self, i: usize, start: SliceMark, budget_end: u64) {
+        let end = SliceMark::of(self, i);
+        if end.state != start.state
+            || self
+                .threads
+                .iter()
+                .enumerate()
+                .any(|(j, t)| j != i && t.state == TState::Runnable)
+        {
+            return;
+        }
+        let period = end.vtime - start.vtime;
+        let mut k = budget_end.saturating_sub(self.vtime) / period;
+        if let Some(d) = self.next_wake() {
+            k = k.min(d.saturating_sub(self.vtime).div_ceil(period));
+        }
+        self.vtime += k * period;
+        self.threads[i].cpu.steps += k * (end.steps - start.steps);
+    }
+
+    /// The earliest deadline of a sleeping thread.
+    fn next_wake(&self) -> Option<u64> {
+        self.threads
+            .iter()
+            .filter_map(|t| match t.state {
+                TState::Sleeping(d) => Some(d),
+                _ => None,
+            })
+            .min()
     }
 
     fn dispatch_api(&mut self, i: usize, hook: &mut dyn OsHook) {
@@ -653,6 +742,11 @@ impl WinProc {
         if let Some(t) = self.threads.iter_mut().find(|t| t.tid == tid) {
             t.state = TState::Exited;
         }
+    }
+
+    /// The CPU of thread `tid`: registers, flags and retired steps.
+    pub fn thread_cpu(&self, tid: u32) -> Option<&Cpu> {
+        self.threads.iter().find(|t| t.tid == tid).map(|t| &t.cpu)
     }
 
     /// `(tid, parked, sleeping)` snapshots for driver assertions.

@@ -48,13 +48,25 @@ pub trait Hook {
     fn on_ret(&mut self, cpu: &Cpu, ret_to: u64) {
         let _ = (cpu, ret_to);
     }
+
+    /// Whether the hook needs to see every instruction. A scheduler may
+    /// skip provably repeating idle cycles (advancing virtual time and
+    /// step counts without stepping) only for a hook that returns
+    /// `false`; every hook but [`NullHook`] keeps the default.
+    fn observes(&self) -> bool {
+        true
+    }
 }
 
 /// A hook that observes nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
-impl Hook for NullHook {}
+impl Hook for NullHook {
+    fn observes(&self) -> bool {
+        false
+    }
+}
 
 /// Records basic-block-ish coverage: every executed instruction address,
 /// plus the dynamic call edges. The exception-handler analysis
@@ -141,6 +153,13 @@ mod tests {
     use crate::cpu::{Cpu, Exit};
     use crate::mem::{Memory, Prot};
     use cr_isa::Asm;
+
+    #[test]
+    fn only_the_null_hook_observes_nothing() {
+        assert!(!NullHook.observes());
+        assert!(CoverageHook::new().observes());
+        assert!(PairHook(NullHook, NullHook).observes());
+    }
 
     #[test]
     fn coverage_records_calls_and_visits() {

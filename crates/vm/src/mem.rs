@@ -141,6 +141,7 @@ struct Page {
 pub struct Memory {
     pages: HashMap<u64, Page>,
     generation: u64,
+    writes: u64,
 }
 
 impl Default for Memory {
@@ -163,6 +164,7 @@ impl Memory {
         Memory {
             pages: HashMap::new(),
             generation: 0,
+            writes: 0,
         }
     }
 
@@ -172,6 +174,15 @@ impl Memory {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// A counter bumped on every store attempt, checked ([`Memory::write`])
+    /// or permission-bypassing ([`Memory::poke`]). Unlike the generation
+    /// it leaves instruction caches valid; the scheduler uses it to prove
+    /// that a stretch of execution left memory untouched.
+    #[inline]
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Map `[addr, addr+len)` with protection `prot`, zero-filled.
@@ -289,6 +300,7 @@ impl Memory {
     /// Returns a [`Fault`] at the first inaccessible byte. Writes are not
     /// transactional: bytes before the fault may have been written.
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), Fault> {
+        self.writes += 1;
         self.access_mut(addr, buf.len() as u64, Access::Write, |page, off, i, n| {
             page.data[off..off + n].copy_from_slice(&buf[i..i + n]);
         })
@@ -342,6 +354,7 @@ impl Memory {
     /// Returns a [`Fault`] if a page in the range is unmapped.
     pub fn poke(&mut self, addr: u64, buf: &[u8]) -> Result<(), Fault> {
         self.generation += 1;
+        self.writes += 1;
         self.access_mut(addr, buf.len() as u64, Access::Write, |page, off, i, n| {
             page.data[off..off + n].copy_from_slice(&buf[i..i + n]);
         })
@@ -604,6 +617,25 @@ mod tests {
         // But unmapped still faults.
         assert!(m.poke(0x9000, &[0]).is_err());
         assert!(m.peek(0x9000, &mut b).is_err());
+    }
+
+    #[test]
+    fn writes_count_stores_but_leave_the_generation_alone() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x1000, Prot::R);
+        let (gen, writes) = (m.generation(), m.writes());
+        assert!(m.write_u64(0x1000, 1).is_err(), "read-only page");
+        assert_eq!(m.writes(), writes + 1, "a faulting store still counts");
+        m.protect(0x1000, 0x1000, Prot::RW);
+        let gen = gen + 1;
+        m.write_u64(0x1000, 1).unwrap();
+        assert_eq!((m.generation(), m.writes()), (gen, writes + 2));
+        m.poke(0x1000, &[2]).unwrap();
+        assert_eq!((m.generation(), m.writes()), (gen + 1, writes + 3));
+        let mut b = [0u8];
+        m.peek(0x1000, &mut b).unwrap();
+        m.read_u64(0x1000).unwrap();
+        assert_eq!(m.writes(), writes + 3, "reads never count");
     }
 
     #[test]

@@ -10,9 +10,9 @@ for b in "${bins[@]}"; do
     cargo run --release -p cr-bench --bin "$b" >"$out/$b.txt" 2>"$out/$b.log"
 done
 # arena_bench asserts the §VII-C headline invariants in-binary and
-# writes its JSON artifact next to the other BENCH_* files.
+# writes its JSON artifact, BENCH_defense.json, next to the other
+# BENCH_* files at the repository root.
 echo "[run_all] arena_bench"
-ARENA_BENCH_OUT="$out/BENCH_defense.json" \
-    cargo run --release -p cr-bench --bin arena_bench \
+cargo run --release -p cr-bench --bin arena_bench \
     >"$out/arena_bench.txt" 2>"$out/arena_bench.log"
 echo "[run_all] done — results in $out/"
