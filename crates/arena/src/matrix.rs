@@ -38,7 +38,7 @@ impl Default for ArenaConfig {
 }
 
 /// One (strategy, detector) cell of the grid.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ArenaPair {
     /// Detector name.
     pub detector: String,
@@ -56,7 +56,7 @@ pub struct ArenaPair {
 }
 
 /// Per-strategy summary over all rounds and detectors.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ArenaSummary {
     /// Strategy name.
     pub strategy: String,

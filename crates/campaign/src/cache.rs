@@ -1,67 +1,62 @@
 //! The content-addressed analysis cache.
 //!
-//! Four tables, all keyed by stable content identifiers
-//! ([`cr_core::stable_hash`] or a deterministic config descriptor):
+//! Four persistent tables, each keyed by a stable content identifier
+//! ([`cr_core::stable_hash`] or a deterministic config descriptor), so a
+//! warm rerun skips the work behind every entry it finds:
 //!
-//! * **filter verdicts** — keyed by `machine:sha256(filter code bytes)`
-//!   ([`cr_core::seh::filter_key`]); identical filter code shared by
-//!   several modules is symbolically executed exactly once per corpus
-//!   lifetime;
-//! * **module analyses** — summary rows keyed by the image content hash
-//!   ([`cr_core::seh::image_content_hash`]); a warm rerun skips the
-//!   whole module analysis, solver included;
-//! * **static scans** — [`ScanSummary`] rows keyed by the ELF content
-//!   hash ([`cr_scan::elf_content_hash`]); a warm rerun skips the
-//!   CFG reconstruction and dataflow walk;
-//! * **arena summaries** — [`cr_arena::ArenaSummary`] rows keyed by the
-//!   strategy's full config descriptor (strategy, seed, rounds, filter
-//!   module); a warm rerun skips every probe simulation of that
-//!   strategy's rounds.
+//! * **filter verdicts** by `machine:sha256(filter code bytes)`
+//!   ([`cr_core::seh::filter_key`]): filter code shared by several
+//!   modules is symbolically executed once per corpus lifetime;
+//! * **module analyses** ([`SehSummary`]) by image content hash
+//!   ([`cr_core::seh::image_content_hash`]): no analysis, no solver;
+//! * **static scans** ([`ScanSummary`]) by ELF content hash
+//!   ([`cr_scan::elf_content_hash`]): no CFG walk or dataflow;
+//! * **arena summaries** ([`cr_arena::ArenaSummary`]) by the strategy's
+//!   config descriptor (strategy, seed, rounds, filter module): no
+//!   probe simulation.
 //!
-//! With `--cache DIR` the cache persists as one JSONL file
-//! (`analysis-cache.jsonl`, one entry per line, sorted by key so the
-//! file is byte-stable), loaded before the campaign and rewritten
-//! after. Without a directory the cache lives in memory only — still
-//! useful, since campaigns repeat filter bodies across modules.
+//! Each is one generic [`Table`] (a map plus hit/miss counters) of a
+//! [`Record`] type, which names its table, the `kind` tag of its lines
+//! and its payload field; the serde shim's derives encode and decode
+//! the payload.
+//!
+//! With `--cache DIR` the cache persists as [`CACHE_FILE`], one
+//! `{"kind":K,"key":KEY,FIELD:PAYLOAD}` entry per line: the filter,
+//! module, scan and arena tables in that order, each sorted by key, so
+//! the file is byte-stable. Without a directory it lives in memory only.
 //!
 //! ## Corruption handling
 //!
 //! Each persisted line is framed as `CRC32HEX ' ' JSON` (CRC-32/IEEE
-//! over the JSON bytes). Loading validates the frame, the CRC and the
-//! JSON shape; a line failing any check is **quarantined** — appended
-//! verbatim to [`QUARANTINE_FILE`] and dropped from the tables — and
-//! the load continues. A quarantined entry simply misses on its next
-//! lookup and is recomputed; one torn write never costs a whole warm
-//! cache. Unframed legacy lines (starting with `{`) still load.
-//!
-//! Saving is atomic: the file is written to a temporary sibling and
-//! renamed into place, so a campaign killed mid-save leaves either the
-//! old cache or the new one, never a torn hybrid.
+//! over the JSON bytes). A line failing the frame, CRC or JSON check at
+//! load is **quarantined** — appended verbatim to [`QUARANTINE_FILE`] —
+//! and simply misses on its next lookup: one torn write never costs a
+//! whole warm cache. Unframed legacy lines (starting with `{`) still
+//! load. Saving writes a temporary sibling and renames it into place, so
+//! a campaign killed mid-save leaves the old cache or the new one, never
+//! a torn hybrid.
 
 use crate::json::Json;
-use cr_arena::{ArenaPair, ArenaSummary};
+use cr_arena::ArenaSummary;
 use cr_core::seh::VerdictCache;
 use cr_symex::FilterVerdict;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Name of the persisted cache file inside `--cache DIR`.
 pub const CACHE_FILE: &str = "analysis-cache.jsonl";
 
-/// Quarantine file: cache lines that failed CRC or parse validation,
-/// appended verbatim at load time.
+/// Quarantine file: lines that failed validation at load, verbatim.
 pub const QUARANTINE_FILE: &str = "cache.quarantine.jsonl";
 
-/// A parsed module image held resident in memory, keyed by module
-/// name and stamped with the image content hash. The serve layer keeps
-/// these warm across requests so the Nth request for a module does
-/// zero image generation and zero parsing; one-shot campaigns get the
-/// same benefit for specs that repeat a module. Never persisted —
-/// images are cheap to regenerate relative to their size on disk, and
-/// the persisted [`SehSummary`] table already skips the analysis.
+/// A parsed module image held resident in memory, keyed by module name:
+/// the Nth request for a module (in a server, or a spec that repeats
+/// it) generates and parses nothing. Never persisted — images are cheap
+/// to regenerate, and the [`SehSummary`] table already skips analysis.
 #[derive(Debug)]
 pub struct ImageArtifact {
     /// Content hash of the image bytes ([`cr_core::seh::image_content_hash`]).
@@ -72,7 +67,7 @@ pub struct ImageArtifact {
 
 /// Cached summary of one module analysis (the campaign-visible subset
 /// of [`cr_core::seh::ModuleSehAnalysis`]).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SehSummary {
     /// Module name.
     pub module: String,
@@ -92,7 +87,7 @@ pub struct SehSummary {
 
 /// Cached summary of one traceless static scan (the campaign-visible
 /// subset of a [`cr_scan::ScanReport`]), keyed by the ELF content hash.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanSummary {
     /// Module (server or corpus) name.
     pub module: String,
@@ -126,22 +121,7 @@ impl ScanSummary {
     }
 }
 
-/// Hit/miss counters, shared across worker threads.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    filter_hits: AtomicU64,
-    filter_misses: AtomicU64,
-    module_hits: AtomicU64,
-    module_misses: AtomicU64,
-    scan_hits: AtomicU64,
-    scan_misses: AtomicU64,
-    arena_hits: AtomicU64,
-    arena_misses: AtomicU64,
-    image_hits: AtomicU64,
-    image_misses: AtomicU64,
-}
-
-/// A point-in-time copy of [`CacheStats`], for reports.
+/// A point-in-time copy of the cache's hit/miss counters, for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct CacheStatsSnapshot {
     /// Filter-verdict lookups served from the cache.
@@ -167,44 +147,91 @@ pub struct CacheStatsSnapshot {
 }
 
 impl CacheStatsSnapshot {
-    /// Hit fraction over the persistent content-addressed layers
-    /// (filter verdicts + module summaries + scan summaries + arena
-    /// summaries); 0.0 when nothing was looked up. Image traffic is
-    /// excluded: the resident artifact table lives in process memory
-    /// only, so a fresh process always misses it regardless of how warm
-    /// the on-disk cache is.
+    /// Hit fraction over the four persistent tables; 0.0 when nothing
+    /// was looked up. Image traffic is excluded: the resident artifact
+    /// table lives in process memory only, so a fresh process always
+    /// misses it however warm the on-disk cache is.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.filter_hits + self.module_hits + self.scan_hits + self.arena_hits;
-        let total =
-            hits + self.filter_misses + self.module_misses + self.scan_misses + self.arena_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
+        let misses = self.filter_misses + self.module_misses + self.scan_misses + self.arena_misses;
+        hits as f64 / (hits + misses).max(1) as f64
+    }
+}
+
+/// One keyed table: a map plus its hit/miss counters, shared across
+/// worker threads. Lookups clone the value out under a short lock.
+#[derive(Debug)]
+pub struct Table<V> {
+    map: Mutex<HashMap<String, V>>,
+    /// `[hits, misses]`.
+    counts: [AtomicU64; 2],
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table {
+            map: Mutex::default(),
+            counts: Default::default(),
         }
     }
 }
 
-#[derive(Default)]
-struct Tables {
-    filters: HashMap<String, FilterVerdict>,
-    modules: HashMap<String, SehSummary>,
-    scans: HashMap<String, ScanSummary>,
-    arenas: HashMap<String, ArenaSummary>,
+impl<V: Clone> Table<V> {
+    fn get(&self, key: &str) -> Option<V> {
+        let hit = self.map.lock().unwrap().get(key).cloned();
+        self.counts[usize::from(hit.is_none())].fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    fn put(&self, key: &str, value: V) {
+        self.map.lock().unwrap().insert(key.to_string(), value);
+    }
+
+    fn counts(&self) -> [u64; 2] {
+        self.counts.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
 }
 
-/// The campaign-wide analysis cache. Cheap interior locking: entries
-/// are tiny and lookups are rare next to the symbolic execution they
-/// save, so a single `Mutex` is not a bottleneck.
+/// A value with its own persistent table in the [`AnalysisCache`].
+pub trait Record: Clone + Serialize + Deserialize {
+    /// The `kind` tag of this record's persisted lines.
+    const KIND: &'static str;
+    /// The field of a persisted line that holds the encoded value.
+    const FIELD: &'static str;
+    /// This record's table inside `cache`.
+    fn table(cache: &AnalysisCache) -> &Table<Self>;
+}
+
+macro_rules! records {
+    ($($ty:ty => $table:ident, $kind:literal, $field:literal;)*) => {$(
+        impl Record for $ty {
+            const KIND: &'static str = $kind;
+            const FIELD: &'static str = $field;
+            fn table(cache: &AnalysisCache) -> &Table<Self> {
+                &cache.$table
+            }
+        }
+    )*};
+}
+
+records! {
+    FilterVerdict => filters, "filter", "verdict";
+    SehSummary => modules, "module", "summary";
+    ScanSummary => scans, "scan", "summary";
+    ArenaSummary => arenas, "arena", "summary";
+}
+
+/// The campaign-wide analysis cache. One short-held `Mutex` per table:
+/// lookups are rare next to the analyses they save.
 #[derive(Default)]
 pub struct AnalysisCache {
-    tables: Mutex<Tables>,
-    /// Resident parsed images, keyed by module name. Memory-only (see
-    /// [`ImageArtifact`]); a separate lock so image lookups never
-    /// contend with verdict traffic.
-    images: Mutex<HashMap<String, std::sync::Arc<ImageArtifact>>>,
-    stats: CacheStats,
-    quarantined: AtomicU64,
+    filters: Table<FilterVerdict>,
+    modules: Table<SehSummary>,
+    scans: Table<ScanSummary>,
+    arenas: Table<ArenaSummary>,
+    /// Resident parsed images by module name (see [`ImageArtifact`]).
+    images: Table<Arc<ImageArtifact>>,
+    quarantined: u64,
 }
 
 impl AnalysisCache {
@@ -226,45 +253,29 @@ impl AnalysisCache {
     /// Real I/O failure only (unreadable cache file, unwritable
     /// quarantine file).
     pub fn load(dir: &Path) -> io::Result<AnalysisCache> {
-        let path = dir.join(CACHE_FILE);
-        let cache = AnalysisCache::new();
-        let text = match std::fs::read_to_string(&path) {
+        let mut cache = AnalysisCache::new();
+        let text = match std::fs::read_to_string(dir.join(CACHE_FILE)) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(cache),
             Err(e) => return Err(e),
         };
-        let mut quarantine: Vec<&str> = Vec::new();
-        {
-            let mut tables = cache.tables.lock().unwrap();
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let ok = unframe(line).and_then(|json| parse_entry(json, &mut tables));
-                if ok.is_err() {
-                    quarantine.push(line);
-                }
-            }
-        }
+        let (_, quarantine) = cache.merge_lines(&text);
         if !quarantine.is_empty() {
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(dir.join(QUARANTINE_FILE))?;
             for line in &quarantine {
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
+                writeln!(f, "{line}")?;
             }
-            cache
-                .quarantined
-                .store(quarantine.len() as u64, Ordering::Relaxed);
+            cache.quarantined = quarantine.len() as u64;
         }
         Ok(cache)
     }
 
     /// Lines rejected (and quarantined) by the last [`AnalysisCache::load`].
     pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
+        self.quarantined
     }
 
     /// Persist all entries under `dir` (created if missing). Entries
@@ -291,174 +302,109 @@ impl AnalysisCache {
     pub fn save_with(&self, dir: &Path, mutate: impl FnMut(usize, &mut String)) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let out = self.render(mutate);
-        // Write-then-rename: a crash mid-save leaves the old file
-        // intact, never a torn hybrid.
         let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
         std::fs::write(&tmp, out.as_bytes())?;
         std::fs::rename(&tmp, dir.join(CACHE_FILE))
     }
 
     /// Every persistent entry as the CRC-framed JSONL document
-    /// [`AnalysisCache::save`] would write — sorted by key, so equal
-    /// caches export equal bytes. This is the warm-cache replication
-    /// payload: one node's export is another node's
-    /// [`AnalysisCache::merge_jsonl`] input. Resident images are
-    /// excluded (memory-only by design; each node re-parses from its
-    /// replicated module summaries' source of truth).
+    /// [`AnalysisCache::save`] would write, so equal caches export equal
+    /// bytes. This is the warm-cache replication payload: one node's
+    /// export is another node's [`AnalysisCache::merge_jsonl`] input.
+    /// Resident images are memory-only and excluded.
     pub fn export_jsonl(&self) -> String {
         self.render(|_, _| {})
     }
 
-    /// Merge CRC-framed JSONL records (the [`AnalysisCache::export_jsonl`]
-    /// format) into this cache. Returns `(merged, rejected)` line
-    /// counts. Entries are content-addressed, so a key collision
-    /// replaces with an equal value; malformed or CRC-failing lines are
-    /// rejected and counted, never quarantined to disk (the sender's
-    /// copy is authoritative).
+    /// Merge [`AnalysisCache::export_jsonl`] lines into this cache and
+    /// return `(merged, rejected)` line counts. Entries are
+    /// content-addressed, so a key collision replaces an equal value.
+    /// Malformed lines are counted, never quarantined to disk (the
+    /// sender's copy is authoritative).
     pub fn merge_jsonl(&self, text: &str) -> (u64, u64) {
-        let mut merged = 0u64;
-        let mut rejected = 0u64;
-        let mut tables = self.tables.lock().unwrap();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match unframe(line).and_then(|json| parse_entry(json, &mut tables)) {
+        let (merged, rejected) = self.merge_lines(text);
+        (merged, rejected.len() as u64)
+    }
+
+    /// Merge every non-blank line of `text`: `(merged, rejected lines)`.
+    fn merge_lines<'t>(&self, text: &'t str) -> (u64, Vec<&'t str>) {
+        let mut merged = 0;
+        let mut rejected = Vec::new();
+        for line in text.lines().filter(|line| !line.trim().is_empty()) {
+            match unframe(line).and_then(|json| self.parse_entry(json)) {
                 Ok(()) => merged += 1,
-                Err(_) => rejected += 1,
+                Err(_) => rejected.push(line),
             }
         }
         (merged, rejected)
     }
 
+    /// The framed lines of every persistent table, in save order.
     fn render(&self, mut mutate: impl FnMut(usize, &mut String)) -> String {
-        let tables = self.tables.lock().unwrap();
-        let filters: BTreeMap<_, _> = tables.filters.iter().collect();
-        let modules: BTreeMap<_, _> = tables.modules.iter().collect();
-        let scans: BTreeMap<_, _> = tables.scans.iter().collect();
-        let arenas: BTreeMap<_, _> = tables.arenas.iter().collect();
+        let mut records = self.records::<FilterVerdict>();
+        records.extend(self.records::<SehSummary>());
+        records.extend(self.records::<ScanSummary>());
+        records.extend(self.records::<ArenaSummary>());
         let mut out = String::new();
-        let mut index = 0usize;
-        let mut push = |record: String, out: &mut String| {
-            let mut line = frame(&record);
+        for (index, record) in records.iter().enumerate() {
+            let mut line = frame(record);
             mutate(index, &mut line);
-            index += 1;
             out.push_str(&line);
             out.push('\n');
-        };
-        for (key, verdict) in filters {
-            push(
-                format!(
-                    "{{\"kind\":\"filter\",\"key\":{},\"verdict\":{}}}",
-                    serde::Serialize::to_json(key),
-                    serde::Serialize::to_json(verdict)
-                ),
-                &mut out,
-            );
         }
-        for (key, summary) in modules {
-            push(
-                format!(
-                    "{{\"kind\":\"module\",\"key\":{},\"summary\":{}}}",
-                    serde::Serialize::to_json(key),
-                    serde::Serialize::to_json(summary)
-                ),
-                &mut out,
-            );
-        }
-        for (key, summary) in scans {
-            push(
-                format!(
-                    "{{\"kind\":\"scan\",\"key\":{},\"summary\":{}}}",
-                    serde::Serialize::to_json(key),
-                    serde::Serialize::to_json(summary)
-                ),
-                &mut out,
-            );
-        }
-        for (key, summary) in arenas {
-            push(
-                format!(
-                    "{{\"kind\":\"arena\",\"key\":{},\"summary\":{}}}",
-                    serde::Serialize::to_json(key),
-                    serde::Serialize::to_json(summary)
-                ),
-                &mut out,
-            );
-        }
-        drop(tables);
         out
     }
 
-    /// Look up a filter verdict.
-    pub fn get_filter(&self, key: &str) -> Option<FilterVerdict> {
-        let hit = self.tables.lock().unwrap().filters.get(key).cloned();
-        self.stats.count_filter(hit.is_some());
-        hit
+    /// One table's persisted records (unframed JSON), sorted by key.
+    fn records<V: Record>(&self) -> Vec<String> {
+        let map = V::table(self).map.lock().unwrap();
+        let sorted: BTreeMap<_, _> = map.iter().collect();
+        sorted
+            .into_iter()
+            .map(|(key, value)| {
+                let (kind, field, key, value) = (V::KIND, V::FIELD, key.to_json(), value.to_json());
+                format!("{{\"kind\":\"{kind}\",\"key\":{key},\"{field}\":{value}}}")
+            })
+            .collect()
     }
 
-    /// Store a filter verdict.
-    pub fn put_filter(&self, key: &str, verdict: &FilterVerdict) {
-        self.tables
-            .lock()
-            .unwrap()
-            .filters
-            .insert(key.to_string(), verdict.clone());
+    /// Decode one unframed record into the table its `kind` names.
+    fn parse_entry(&self, line: &str) -> Result<(), String> {
+        let entry = Json::parse(line)?;
+        match entry.get("kind").and_then(Json::as_str) {
+            Some(FilterVerdict::KIND) => self.insert::<FilterVerdict>(&entry),
+            Some(SehSummary::KIND) => self.insert::<SehSummary>(&entry),
+            Some(ScanSummary::KIND) => self.insert::<ScanSummary>(&entry),
+            Some(ArenaSummary::KIND) => self.insert::<ArenaSummary>(&entry),
+            other => Err(format!("unknown entry kind {other:?}")),
+        }
     }
 
-    /// Look up a module summary.
-    pub fn get_module(&self, key: &str) -> Option<SehSummary> {
-        let hit = self.tables.lock().unwrap().modules.get(key).cloned();
-        self.stats.count_module(hit.is_some());
-        hit
+    fn insert<V: Record>(&self, entry: &Json) -> Result<(), String> {
+        let key: String = serde::read_field(entry, "key")?;
+        let value: V = serde::read_field(entry, V::FIELD)?;
+        V::table(self).put(&key, value);
+        Ok(())
     }
 
-    /// Store a module summary.
-    pub fn put_module(&self, key: &str, summary: &SehSummary) {
-        self.tables
-            .lock()
-            .unwrap()
-            .modules
-            .insert(key.to_string(), summary.clone());
+    /// Look up a record by key, counting the hit or miss.
+    pub fn get<V: Record>(&self, key: &str) -> Option<V> {
+        V::table(self).get(key)
     }
 
-    /// Look up a static-scan summary by ELF content hash.
-    pub fn get_scan(&self, key: &str) -> Option<ScanSummary> {
-        let hit = self.tables.lock().unwrap().scans.get(key).cloned();
-        self.stats.count_scan(hit.is_some());
-        hit
+    /// Store a record under `key` (an existing entry is replaced).
+    pub fn put<V: Record>(&self, key: &str, value: &V) {
+        V::table(self).put(key, value.clone());
     }
 
-    /// Store a static-scan summary.
-    pub fn put_scan(&self, key: &str, summary: &ScanSummary) {
-        self.tables
-            .lock()
-            .unwrap()
-            .scans
-            .insert(key.to_string(), summary.clone());
-    }
-
-    /// Look up an arena summary by config descriptor.
-    pub fn get_arena(&self, key: &str) -> Option<ArenaSummary> {
-        let hit = self.tables.lock().unwrap().arenas.get(key).cloned();
-        self.stats.count_arena(hit.is_some());
-        hit
-    }
-
-    /// Store an arena summary.
-    pub fn put_arena(&self, key: &str, summary: &ArenaSummary) {
-        self.tables
-            .lock()
-            .unwrap()
-            .arenas
-            .insert(key.to_string(), summary.clone());
+    /// Number of cached records of type `V`.
+    pub fn entries<V: Record>(&self) -> usize {
+        V::table(self).map.lock().unwrap().len()
     }
 
     /// Look up a resident parsed image by module name.
-    pub fn get_image(&self, module: &str) -> Option<std::sync::Arc<ImageArtifact>> {
-        let hit = self.images.lock().unwrap().get(module).cloned();
-        self.stats.count_image(hit.is_some());
-        hit
+    pub fn get_image(&self, module: &str) -> Option<Arc<ImageArtifact>> {
+        self.images.get(module)
     }
 
     /// Store a parsed image under `module` and return the shared
@@ -468,96 +414,34 @@ impl AnalysisCache {
         module: &str,
         hash: impl Into<String>,
         image: cr_image::PeImage,
-    ) -> std::sync::Arc<ImageArtifact> {
-        let artifact = std::sync::Arc::new(ImageArtifact {
+    ) -> Arc<ImageArtifact> {
+        let artifact = Arc::new(ImageArtifact {
             hash: hash.into(),
             image,
         });
-        self.images
-            .lock()
-            .unwrap()
-            .insert(module.to_string(), artifact.clone());
+        self.images.put(module, artifact.clone());
         artifact
-    }
-
-    /// Entry counts: `(filter_verdicts, module_summaries)`.
-    pub fn len(&self) -> (usize, usize) {
-        let t = self.tables.lock().unwrap();
-        (t.filters.len(), t.modules.len())
-    }
-
-    /// Number of cached static-scan summaries.
-    pub fn scan_len(&self) -> usize {
-        self.tables.lock().unwrap().scans.len()
-    }
-
-    /// Number of cached arena summaries.
-    pub fn arena_len(&self) -> usize {
-        self.tables.lock().unwrap().arenas.len()
-    }
-
-    /// Whether all tables are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0) && self.scan_len() == 0 && self.arena_len() == 0
     }
 
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStatsSnapshot {
+        let [filter_hits, filter_misses] = self.filters.counts();
+        let [module_hits, module_misses] = self.modules.counts();
+        let [scan_hits, scan_misses] = self.scans.counts();
+        let [arena_hits, arena_misses] = self.arenas.counts();
+        let [image_hits, image_misses] = self.images.counts();
         CacheStatsSnapshot {
-            filter_hits: self.stats.filter_hits.load(Ordering::Relaxed),
-            filter_misses: self.stats.filter_misses.load(Ordering::Relaxed),
-            module_hits: self.stats.module_hits.load(Ordering::Relaxed),
-            module_misses: self.stats.module_misses.load(Ordering::Relaxed),
-            scan_hits: self.stats.scan_hits.load(Ordering::Relaxed),
-            scan_misses: self.stats.scan_misses.load(Ordering::Relaxed),
-            arena_hits: self.stats.arena_hits.load(Ordering::Relaxed),
-            arena_misses: self.stats.arena_misses.load(Ordering::Relaxed),
-            image_hits: self.stats.image_hits.load(Ordering::Relaxed),
-            image_misses: self.stats.image_misses.load(Ordering::Relaxed),
+            filter_hits,
+            filter_misses,
+            module_hits,
+            module_misses,
+            scan_hits,
+            scan_misses,
+            arena_hits,
+            arena_misses,
+            image_hits,
+            image_misses,
         }
-    }
-}
-
-impl CacheStats {
-    fn count_filter(&self, hit: bool) {
-        let c = if hit {
-            &self.filter_hits
-        } else {
-            &self.filter_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-    fn count_module(&self, hit: bool) {
-        let c = if hit {
-            &self.module_hits
-        } else {
-            &self.module_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-    fn count_scan(&self, hit: bool) {
-        let c = if hit {
-            &self.scan_hits
-        } else {
-            &self.scan_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-    fn count_arena(&self, hit: bool) {
-        let c = if hit {
-            &self.arena_hits
-        } else {
-            &self.arena_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-    fn count_image(&self, hit: bool) {
-        let c = if hit {
-            &self.image_hits
-        } else {
-            &self.image_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -568,10 +452,10 @@ pub struct SharedVerdictCache<'a>(pub &'a AnalysisCache);
 
 impl VerdictCache for SharedVerdictCache<'_> {
     fn get(&self, key: &str) -> Option<FilterVerdict> {
-        self.0.get_filter(key)
+        self.0.get(key)
     }
     fn put(&mut self, key: &str, verdict: &FilterVerdict) {
-        self.0.put_filter(key, verdict);
+        self.0.put(key, verdict);
     }
 }
 
@@ -613,161 +497,10 @@ fn unframe(line: &str) -> Result<&str, String> {
     Ok(json)
 }
 
-fn parse_entry(line: &str, tables: &mut Tables) -> Result<(), String> {
-    let v = Json::parse(line)?;
-    let key = v
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("entry without string `key`")?
-        .to_string();
-    match v.get("kind").and_then(Json::as_str) {
-        Some("filter") => {
-            let verdict = parse_verdict(v.get("verdict").ok_or("filter entry without verdict")?)?;
-            tables.filters.insert(key, verdict);
-            Ok(())
-        }
-        Some("module") => {
-            let summary = parse_summary(v.get("summary").ok_or("module entry without summary")?)?;
-            tables.modules.insert(key, summary);
-            Ok(())
-        }
-        Some("scan") => {
-            let summary = parse_scan(v.get("summary").ok_or("scan entry without summary")?)?;
-            tables.scans.insert(key, summary);
-            Ok(())
-        }
-        Some("arena") => {
-            let summary = parse_arena(v.get("summary").ok_or("arena entry without summary")?)?;
-            tables.arenas.insert(key, summary);
-            Ok(())
-        }
-        other => Err(format!("unknown entry kind {other:?}")),
-    }
-}
-
-fn parse_verdict(v: &Json) -> Result<FilterVerdict, String> {
-    // Externally tagged: a unit variant is a bare string, the rest are
-    // single-key objects.
-    if let Some(s) = v.as_str() {
-        return match s {
-            "RejectsAccessViolation" => Ok(FilterVerdict::RejectsAccessViolation),
-            other => Err(format!("unknown unit verdict {other:?}")),
-        };
-    }
-    if let Some(code) = v
-        .get("AcceptsAccessViolation")
-        .and_then(|p| p.get("witness_code"))
-        .and_then(Json::as_u64)
-    {
-        return Ok(FilterVerdict::AcceptsAccessViolation { witness_code: code });
-    }
-    if let Some(reason) = v.get("Unknown").and_then(Json::as_str) {
-        return Ok(FilterVerdict::Unknown(intern(reason)));
-    }
-    Err(format!("unparseable verdict {v:?}"))
-}
-
-fn parse_summary(v: &Json) -> Result<SehSummary, String> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("summary missing numeric {name:?}"))
-    };
-    Ok(SehSummary {
-        module: v
-            .get("module")
-            .and_then(Json::as_str)
-            .ok_or("summary missing `module`")?
-            .to_string(),
-        is_x64: v
-            .get("is_x64")
-            .and_then(Json::as_bool)
-            .ok_or("summary missing `is_x64`")?,
-        guarded_before: field("guarded_before")?,
-        guarded_after: field("guarded_after")?,
-        filters_before: field("filters_before")?,
-        filters_after: field("filters_after")?,
-        filters_undecided: field("filters_undecided")?,
-    })
-}
-
-fn parse_scan(v: &Json) -> Result<ScanSummary, String> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| format!("scan summary missing numeric {name:?}"))
-    };
-    Ok(ScanSummary {
-        module: v
-            .get("module")
-            .and_then(Json::as_str)
-            .ok_or("scan summary missing `module`")?
-            .to_string(),
-        sites: field("sites")?,
-        constant: field("constant")?,
-        memory: field("memory")?,
-        init_only: field("init_only")?,
-        serving: field("serving")?,
-        unreached: field("unreached")?,
-    })
-}
-
-fn parse_arena(v: &Json) -> Result<ArenaSummary, String> {
-    let field = |v: &Json, name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("arena summary missing numeric {name:?}"))
-    };
-    let mut pairs = Vec::new();
-    for p in v
-        .get("pairs")
-        .and_then(Json::as_arr)
-        .ok_or("arena summary missing `pairs` array")?
-    {
-        pairs.push(ArenaPair {
-            detector: p
-                .get("detector")
-                .and_then(Json::as_str)
-                .ok_or("arena pair missing `detector`")?
-                .to_string(),
-            detected_rounds: field(p, "detected_rounds")? as usize,
-            time_to_detect_ms: field(p, "time_to_detect_ms")?,
-            false_positives: field(p, "false_positives")?,
-            blocked_escalations: field(p, "blocked_escalations")?,
-        });
-    }
-    Ok(ArenaSummary {
-        strategy: v
-            .get("strategy")
-            .and_then(Json::as_str)
-            .ok_or("arena summary missing `strategy`")?
-            .to_string(),
-        rounds: field(v, "rounds")? as usize,
-        probes: field(v, "probes")?,
-        dropped: field(v, "dropped")?,
-        located_rounds: field(v, "located_rounds")? as usize,
-        pairs,
-    })
-}
-
-/// `FilterVerdict::Unknown` carries a `&'static str`; reloaded reasons
-/// are interned in a process-global pool so repeated cache loads don't
-/// leak a new allocation per load.
-fn intern(s: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));
-    let mut pool = pool.lock().unwrap();
-    if let Some(&existing) = pool.get(s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(leaked);
-    leaked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cr_arena::ArenaPair;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cr-cache-{tag}-{}", std::process::id()));
@@ -775,16 +508,26 @@ mod tests {
         dir
     }
 
+    /// Entry counts of the filter, module, scan and arena tables.
+    fn counts(cache: &AnalysisCache) -> [usize; 4] {
+        [
+            cache.entries::<FilterVerdict>(),
+            cache.entries::<SehSummary>(),
+            cache.entries::<ScanSummary>(),
+            cache.entries::<ArenaSummary>(),
+        ]
+    }
+
     fn sample_tables(cache: &AnalysisCache) {
-        cache.put_filter("x64:aaaa", &FilterVerdict::RejectsAccessViolation);
-        cache.put_filter(
+        cache.put("x64:aaaa", &FilterVerdict::RejectsAccessViolation);
+        cache.put(
             "x64:bbbb",
             &FilterVerdict::AcceptsAccessViolation {
                 witness_code: 0xC0000005,
             },
         );
-        cache.put_filter("x86:cccc", &FilterVerdict::Unknown("call to helper"));
-        cache.put_module(
+        cache.put("x86:cccc", &FilterVerdict::Unknown("call to helper"));
+        cache.put(
             "deadbeef",
             &SehSummary {
                 module: "user32".into(),
@@ -796,7 +539,7 @@ mod tests {
                 filters_undecided: 1,
             },
         );
-        cache.put_scan(
+        cache.put(
             "feedc0de",
             &ScanSummary {
                 module: "vsftpd".into(),
@@ -808,7 +551,7 @@ mod tests {
                 unreached: 1,
             },
         );
-        cache.put_arena(
+        cache.put(
             "stealth:s2017:r3:vsftpd",
             &ArenaSummary {
                 strategy: "stealth".into(),
@@ -835,31 +578,29 @@ mod tests {
         cache.save(&dir).unwrap();
 
         let back = AnalysisCache::load(&dir).unwrap();
-        assert_eq!(back.len(), (3, 1));
+        assert_eq!(counts(&back), [3, 1, 1, 1]);
         assert_eq!(back.quarantined(), 0);
         assert_eq!(
-            back.get_filter("x64:aaaa"),
+            back.get::<FilterVerdict>("x64:aaaa"),
             Some(FilterVerdict::RejectsAccessViolation)
         );
         assert_eq!(
-            back.get_filter("x64:bbbb"),
+            back.get::<FilterVerdict>("x64:bbbb"),
             Some(FilterVerdict::AcceptsAccessViolation {
                 witness_code: 0xC0000005
             })
         );
         assert_eq!(
-            back.get_filter("x86:cccc"),
+            back.get::<FilterVerdict>("x86:cccc"),
             Some(FilterVerdict::Unknown("call to helper"))
         );
-        assert_eq!(back.get_module("deadbeef").unwrap().module, "user32");
-        assert_eq!(back.scan_len(), 1);
-        let scan = back.get_scan("feedc0de").unwrap();
+        assert_eq!(back.get::<SehSummary>("deadbeef").unwrap().module, "user32");
+        let scan = back.get::<ScanSummary>("feedc0de").unwrap();
         assert_eq!(
             (scan.module.as_str(), scan.sites, scan.serving),
             ("vsftpd", 9, 4)
         );
-        assert_eq!(back.arena_len(), 1);
-        let arena = back.get_arena("stealth:s2017:r3:vsftpd").unwrap();
+        let arena = back.get::<ArenaSummary>("stealth:s2017:r3:vsftpd").unwrap();
         assert_eq!(
             (arena.strategy.as_str(), arena.probes, arena.located_rounds),
             ("stealth", 660, 3)
@@ -894,7 +635,7 @@ mod tests {
     #[test]
     fn missing_dir_loads_empty() {
         let cache = AnalysisCache::load(Path::new("/nonexistent/cr-cache")).unwrap();
-        assert!(cache.is_empty());
+        assert_eq!(counts(&cache), [0; 4]);
         assert_eq!(cache.quarantined(), 0);
     }
 
@@ -924,9 +665,9 @@ mod tests {
         let back = AnalysisCache::load(&dir).expect("load must survive corruption");
         assert_eq!(back.quarantined(), 3);
         // Healthy entries stayed warm; the corrupted module dropped out.
-        assert_eq!(back.len(), (3, 0));
-        assert!(back.get_filter("x64:aaaa").is_some());
-        assert!(back.get_module("deadbeef").is_none());
+        assert_eq!(counts(&back), [3, 0, 1, 1]);
+        assert!(back.get::<FilterVerdict>("x64:aaaa").is_some());
+        assert!(back.get::<SehSummary>("deadbeef").is_none());
         // The rejects landed verbatim in the quarantine file.
         let q = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
         assert_eq!(q.lines().count(), 3);
@@ -947,7 +688,7 @@ mod tests {
         let cache = AnalysisCache::load(&dir).unwrap();
         assert_eq!(cache.quarantined(), 0);
         assert_eq!(
-            cache.get_filter("x64:old"),
+            cache.get::<FilterVerdict>("x64:old"),
             Some(FilterVerdict::RejectsAccessViolation)
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -984,7 +725,7 @@ mod tests {
         assert_eq!(back.quarantined(), 2);
         // Records 1 and 2 (both filters in sorted order) dropped out;
         // filter 0 and the module survived.
-        assert_eq!(back.len(), (1, 1));
+        assert_eq!(counts(&back), [1, 1, 1, 1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -997,9 +738,7 @@ mod tests {
         let sink = AnalysisCache::new();
         let (merged, rejected) = sink.merge_jsonl(&jsonl);
         assert_eq!((merged, rejected), (6, 0));
-        assert_eq!(sink.len(), source.len());
-        assert_eq!(sink.scan_len(), source.scan_len());
-        assert_eq!(sink.arena_len(), source.arena_len());
+        assert_eq!(counts(&sink), counts(&source));
         // Replication is idempotent: entries are content-addressed, so
         // a re-merge replaces equal values with equal values.
         let (merged2, rejected2) = sink.merge_jsonl(&jsonl);
@@ -1023,14 +762,16 @@ mod tests {
     fn stats_track_hits_and_misses() {
         let cache = AnalysisCache::new();
         sample_tables(&cache);
-        assert!(cache.get_filter("x64:aaaa").is_some());
-        assert!(cache.get_filter("x64:unknown").is_none());
-        assert!(cache.get_module("deadbeef").is_some());
-        assert!(cache.get_module("feedface").is_none());
-        assert!(cache.get_scan("feedc0de").is_some());
-        assert!(cache.get_scan("00000000").is_none());
-        assert!(cache.get_arena("stealth:s2017:r3:vsftpd").is_some());
-        assert!(cache.get_arena("linear:s0:r0:none").is_none());
+        assert!(cache.get::<FilterVerdict>("x64:aaaa").is_some());
+        assert!(cache.get::<FilterVerdict>("x64:unknown").is_none());
+        assert!(cache.get::<SehSummary>("deadbeef").is_some());
+        assert!(cache.get::<SehSummary>("feedface").is_none());
+        assert!(cache.get::<ScanSummary>("feedc0de").is_some());
+        assert!(cache.get::<ScanSummary>("00000000").is_none());
+        assert!(cache
+            .get::<ArenaSummary>("stealth:s2017:r3:vsftpd")
+            .is_some());
+        assert!(cache.get::<ArenaSummary>("linear:s0:r0:none").is_none());
         let s = cache.stats();
         assert_eq!((s.filter_hits, s.filter_misses), (1, 1));
         assert_eq!((s.module_hits, s.module_misses), (1, 1));
@@ -1059,10 +800,73 @@ mod tests {
         assert!((s.hit_rate() - 0.0).abs() < 1e-9);
     }
 
+    /// `FilterVerdict::Unknown` carries a `&'static str`: reloading the
+    /// same reason must reuse one interned allocation, not leak a new one
+    /// per load.
     #[test]
     fn interning_reuses_reasons() {
-        let a = intern("same reason");
-        let b = intern("same reason");
+        let line = frame(r#"{"kind":"filter","key":"k","verdict":{"Unknown":"same reason"}}"#);
+        let reason = || {
+            let cache = AnalysisCache::new();
+            assert_eq!(cache.merge_jsonl(&line), (1, 0));
+            match cache.get::<FilterVerdict>("k") {
+                Some(FilterVerdict::Unknown(r)) => r,
+                other => panic!("expected an Unknown verdict, got {other:?}"),
+            }
+        };
+        let (a, b) = (reason(), reason());
+        assert_eq!(a, "same reason");
         assert!(std::ptr::eq(a, b));
+    }
+
+    /// A cache file written by the previous release (the hand-written
+    /// encoder era): every kind, an `Unknown` reason full of escapes,
+    /// and one pre-CRC unframed line. It must load without quarantining
+    /// anything and re-save byte for byte, the unframed line gaining
+    /// only its frame.
+    #[test]
+    fn legacy_file_loads_and_resaves_byte_identically() {
+        const LEGACY: &str = include_str!("../testdata/legacy-cache.jsonl");
+        let dir = scratch("legacy-file");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(CACHE_FILE), LEGACY).unwrap();
+        let cache = AnalysisCache::load(&dir).unwrap();
+        assert_eq!(cache.quarantined(), 0);
+        assert!(!dir.join(QUARANTINE_FILE).exists());
+        assert_eq!(counts(&cache), [3, 2, 1, 2]);
+        assert_eq!(
+            cache.get::<FilterVerdict>("x86:cccc"),
+            Some(FilterVerdict::Unknown(
+                "call to \"helper\"\tat\\0x401000\n\u{1}é"
+            ))
+        );
+        let unframed = cache.get::<SehSummary>("0badf00d").expect("unframed line");
+        assert_eq!(
+            (unframed.module.as_str(), unframed.is_x64),
+            ("xmllite", false)
+        );
+        let arena = cache
+            .get::<ArenaSummary>("stealth:s2017:r3:vsftpd")
+            .unwrap();
+        assert_eq!(arena.pairs[1].blocked_escalations, 12);
+
+        let expected: String = LEGACY
+            .lines()
+            .map(|line| {
+                let framed = if line.starts_with('{') {
+                    frame(line)
+                } else {
+                    line.to_string()
+                };
+                framed + "\n"
+            })
+            .collect();
+        assert_eq!(cache.export_jsonl(), expected);
+        cache.save(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap(),
+            expected
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -30,7 +30,7 @@ use crate::spec::{CampaignSpec, CampaignTask, TaskKind};
 use cr_arena::{ArenaConfig, ArenaSummary};
 use cr_chaos::{FaultInjector, FaultKind, Site};
 use cr_core::seh::{self, analyze_module_cached, NoCache};
-use cr_symex::SolverCounters;
+use cr_symex::{FilterVerdict, SolverCounters};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
@@ -207,7 +207,8 @@ pub fn run_campaign(spec: &CampaignSpec, cfg: &EngineConfig) -> std::io::Result<
             let mut span = cr_trace::span(cr_trace::Stage::Cache, "cache.load");
             let cache = AnalysisCache::load(dir)?;
             span.set_detail(|| {
-                let (filters, modules) = cache.len();
+                let filters = cache.entries::<FilterVerdict>();
+                let modules = cache.entries::<SehSummary>();
                 format!(
                     "filters={filters} modules={modules} quarantined={}",
                     cache.quarantined()
@@ -222,7 +223,8 @@ pub fn run_campaign(spec: &CampaignSpec, cfg: &EngineConfig) -> std::io::Result<
     if let Some(dir) = &cfg.cache_dir {
         let mut span = cr_trace::span(cr_trace::Stage::Cache, "cache.save");
         span.set_detail(|| {
-            let (filters, modules) = cache.len();
+            let filters = cache.entries::<FilterVerdict>();
+            let modules = cache.entries::<SehSummary>();
             format!("filters={filters} modules={modules}")
         });
         match cfg.injector.as_deref() {
@@ -523,7 +525,7 @@ fn run_seh(
         }
     };
     let image_hash = artifact.hash.clone();
-    let summary = match cache.get_module(&image_hash) {
+    let summary = match cache.get::<SehSummary>(&image_hash) {
         Some(s) => s,
         None => {
             let a = analyze_module_cached(&artifact.image, &mut SharedVerdictCache(cache));
@@ -536,7 +538,7 @@ fn run_seh(
                 filters_after: a.filters_after,
                 filters_undecided: a.filters_undecided,
             };
-            cache.put_module(&image_hash, &s);
+            cache.put(&image_hash, &s);
             s
         }
     };
@@ -554,7 +556,7 @@ fn run_scan(name: &str, cache: &AnalysisCache) -> TaskResult {
         .or_else(|| cr_targets::corpus::module(name).map(|m| m.image))
         .unwrap_or_else(|| panic!("unknown scan module {name:?}"));
     let image_hash = cr_scan::elf_content_hash(&image);
-    let summary = match cache.get_scan(&image_hash) {
+    let summary = match cache.get::<ScanSummary>(&image_hash) {
         Some(s) => {
             // A warm hit skips the CFG walk; still stamp the scan stage
             // so a warm campaign's trace shows where the row came from.
@@ -565,7 +567,7 @@ fn run_scan(name: &str, cache: &AnalysisCache) -> TaskResult {
         None => {
             let report = cr_scan::scan_elf(name, &image);
             let s = ScanSummary::from_report(&report);
-            cache.put_scan(&image_hash, &s);
+            cache.put(&image_hash, &s);
             s
         }
     };
@@ -599,7 +601,7 @@ fn run_arena(
     // serves a clean row nor poisons the table with a degraded one.
     let chaos = inj.filter(|i| i.plan().arms(Site::ArenaProbeDrop));
     if chaos.is_none() {
-        if let Some(summary) = cache.get_arena(&key) {
+        if let Some(summary) = cache.get::<ArenaSummary>(&key) {
             // A warm hit skips re-simulating every probing session;
             // still stamp the arena stage so the trace shows the source.
             let mut span = cr_trace::span(cr_trace::Stage::Arena, "arena.cached");
@@ -625,7 +627,7 @@ fn run_arena(
     });
     drop(span);
     if chaos.is_none() {
-        cache.put_arena(&key, &summary);
+        cache.put(&key, &summary);
     }
     TaskResult::Arena { key, summary }
 }

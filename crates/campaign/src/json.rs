@@ -1,11 +1,9 @@
-//! JSON reading for cache files, campaign specs, and reports.
-//!
-//! The recursive-descent parser used to live here; it moved to
-//! [`cr_trace::json`] so the trace crate can read `trace.jsonl` without
-//! depending on the campaign engine. This module re-exports it — every
-//! existing `cr_campaign::json::Json` use keeps compiling unchanged.
+//! JSON reading for cache files, campaign specs, and reports: the
+//! serde shim's reader, re-exported so `cr_campaign::json::Json` names
+//! the one codec that also writes every document. Typed decoding goes
+//! through [`serde::Deserialize`].
 
-pub use cr_trace::Json;
+pub use serde::Json;
 
 #[cfg(test)]
 mod tests {

@@ -4,10 +4,11 @@
 //! paper's three primitive families (Table I servers, §IV-C SEH
 //! modules, the §V-B API funnel) plus the §VI PoC oracles. Specs
 //! serialize to JSON (for `--spec` files and report embedding) and
-//! parse back via the in-crate [`Json`](crate::json::Json) reader.
+//! decode back through the serde shim's [`serde::Deserialize`].
 
 use crate::builder::CampaignSpecBuilder;
 use crate::json::Json;
+use serde::Deserialize;
 
 /// The six task families a campaign draws from. Serializes to the
 /// same short names (`server` / `seh` / `funnel` / `poc` / `scan` /
@@ -60,7 +61,7 @@ impl serde::Serialize for TaskKind {
 
 /// One unit of campaign work. Tasks are independent by construction —
 /// the pool may run them in any order on any worker.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum CampaignTask {
     /// Run the Table-I syscall pipeline on one server target.
     ServerDiscovery(String),
@@ -183,76 +184,25 @@ impl CampaignSpec {
     ///
     /// Returns a description of the first malformed construct.
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
-        let root = Json::parse(text)?;
-        let name = match root.get("name") {
-            Some(v) => v
-                .as_str()
-                .ok_or("spec `name` must be a string")?
-                .to_string(),
-            None => "campaign".to_string(),
-        };
-        let seed = match root.get("seed") {
-            Some(v) => v
-                .as_u64()
-                .ok_or("spec `seed` must be a non-negative integer")?,
-            None => DEFAULT_SEED,
-        };
-        let raw_tasks = root
-            .get("tasks")
-            .and_then(Json::as_arr)
-            .ok_or("spec needs a `tasks` array")?;
-        let mut tasks = Vec::with_capacity(raw_tasks.len());
-        for t in raw_tasks {
-            tasks.push(parse_task(t)?);
-        }
-        Ok(CampaignSpec { name, seed, tasks })
+        CampaignSpec::read_json(&Json::parse(text)?)
     }
 }
 
-fn parse_task(v: &Json) -> Result<CampaignTask, String> {
-    let fields = v.as_obj().ok_or("each task must be an object")?;
-    let [(tag, payload)] = fields else {
-        return Err("each task must have exactly one variant key".into());
-    };
-    match tag.as_str() {
-        "ServerDiscovery" => Ok(CampaignTask::ServerDiscovery(
-            payload
-                .as_str()
-                .ok_or("ServerDiscovery takes a server name")?
-                .to_string(),
-        )),
-        "SehAnalysis" => Ok(CampaignTask::SehAnalysis(
-            payload
-                .as_str()
-                .ok_or("SehAnalysis takes a module name")?
-                .to_string(),
-        )),
-        "ApiFunnel" => {
-            let corpus_size = payload
-                .get("corpus_size")
-                .and_then(Json::as_usize)
-                .ok_or("ApiFunnel takes {\"corpus_size\": N}")?;
-            Ok(CampaignTask::ApiFunnel { corpus_size })
-        }
-        "PocScan" => Ok(CampaignTask::PocScan(
-            payload
-                .as_str()
-                .ok_or("PocScan takes an oracle name")?
-                .to_string(),
-        )),
-        "StaticScan" => Ok(CampaignTask::StaticScan(
-            payload
-                .as_str()
-                .ok_or("StaticScan takes a module name")?
-                .to_string(),
-        )),
-        "Arena" => Ok(CampaignTask::Arena(
-            payload
-                .as_str()
-                .ok_or("Arena takes a strategy name")?
-                .to_string(),
-        )),
-        other => Err(format!("unknown task kind {other:?}")),
+/// The derived decoding, except that `name` and `seed` may be omitted
+/// (defaulting to `"campaign"` and [`DEFAULT_SEED`]). Unknown top-level
+/// keys are ignored, so request options can ride in the same document.
+impl Deserialize for CampaignSpec {
+    fn read_json(root: &Json) -> Result<CampaignSpec, String> {
+        let name = match root.get("name") {
+            Some(_) => serde::read_field(root, "name")?,
+            None => "campaign".to_string(),
+        };
+        let seed = match root.get("seed") {
+            Some(_) => serde::read_field(root, "seed")?,
+            None => DEFAULT_SEED,
+        };
+        let tasks = serde::read_field(root, "tasks")?;
+        Ok(CampaignSpec { name, seed, tasks })
     }
 }
 

@@ -19,10 +19,11 @@
 
 use crate::supervisor::Supervisor;
 use crate::{FleetConfig, FleetCounters};
-use cr_campaign::json::Json;
 use cr_campaign::{AnalysisCache, CampaignSpec};
 use cr_chaos::{derive_seed, hash_str, mix64, Site};
-use cr_serve::proto::{negotiate, read_frame, write_frame, Frame, FrameError, FrameKind};
+use cr_serve::proto::{
+    negotiate, parse_hello, read_frame, write_frame, Frame, FrameError, FrameKind,
+};
 use cr_serve::Client;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read};
@@ -739,24 +740,6 @@ fn error_frame(request_id: u64, code: &str, message: &str) -> Frame {
             message.to_json()
         ),
     )
-}
-
-/// `(min, max)` from a Hello payload; malformed degrades to `(0, 0)`,
-/// which negotiation rejects gracefully.
-fn parse_hello(payload: &[u8]) -> (u16, u16) {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return (0, 0);
-    };
-    let Ok(v) = Json::parse(text) else {
-        return (0, 0);
-    };
-    let field = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-            .min(u64::from(u16::MAX)) as u16
-    };
-    (field("min"), field("max"))
 }
 
 /// One polled frame read: `Ok(None)` means idle (no byte arrived

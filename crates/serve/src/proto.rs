@@ -29,6 +29,7 @@
 //! not a dropped connection.
 
 use cr_campaign::crc32;
+use cr_campaign::json::Json;
 use std::io::{self, Read, Write};
 
 /// Protocol version this build speaks. Version 2 added the fleet
@@ -311,6 +312,24 @@ pub fn hello_payload() -> String {
     format!("{{\"min\":{PROTO_MIN_VERSION},\"max\":{PROTO_VERSION},\"client\":\"cr-serve\"}}")
 }
 
+/// `(min, max)` from a Hello payload; a malformed payload degrades to
+/// `(0, 0)`, which [`negotiate`] rejects gracefully. Values above
+/// `u16::MAX` clamp to it.
+pub fn parse_hello(payload: &[u8]) -> (u16, u16) {
+    let Some(v) = std::str::from_utf8(payload)
+        .ok()
+        .and_then(|text| Json::parse(text).ok())
+    else {
+        return (0, 0);
+    };
+    let field = |k: &str| {
+        v.get(k)
+            .and_then(Json::as_u64)
+            .map_or(0, |n| n.min(u64::from(u16::MAX)) as u16)
+    };
+    (field("min"), field("max"))
+}
+
 /// Pick the protocol version for a Hello advertising `[min, max]`:
 /// the highest version both sides speak, or `None` when the ranges are
 /// disjoint.
@@ -418,6 +437,28 @@ mod tests {
         assert_eq!(negotiate(1, 7), Some(PROTO_VERSION));
         assert_eq!(negotiate(PROTO_VERSION + 1, PROTO_VERSION + 3), None);
         assert_eq!(negotiate(5, 2), None, "inverted range is a reject");
+    }
+
+    #[test]
+    fn hello_parses_its_own_payload() {
+        assert_eq!(
+            parse_hello(hello_payload().as_bytes()),
+            (PROTO_MIN_VERSION, PROTO_VERSION)
+        );
+    }
+
+    #[test]
+    fn malformed_hello_degrades_to_zero() {
+        for bad in [&b"\xff\xfe"[..], b"", b"{", b"[1,2]", b"{\"min\":\"1\"}"] {
+            assert_eq!(parse_hello(bad), (0, 0), "{bad:?}");
+        }
+        assert_eq!(negotiate(0, 0), None);
+    }
+
+    #[test]
+    fn hello_values_above_u16_max_are_clamped() {
+        assert_eq!(parse_hello(br#"{"min":1,"max":4294967297}"#), (1, u16::MAX));
+        assert_eq!(negotiate(1, u16::MAX), Some(PROTO_VERSION));
     }
 
     #[test]

@@ -32,13 +32,16 @@
 //! atomically (write-then-rename, inherited from the cache layer) and
 //! lets [`Server::run`] return.
 
-use crate::proto::{negotiate, read_frame, Frame, FrameError, FrameKind, PROTO_VERSION};
+use crate::proto::{
+    negotiate, parse_hello, read_frame, Frame, FrameError, FrameKind, PROTO_VERSION,
+};
 use cr_campaign::json::Json;
 use cr_campaign::{
     run_campaign_with_cache, AnalysisCache, CampaignSpec, EngineConfig, TaskErrorKind,
     DEFAULT_DEADLINE_MS,
 };
 use cr_chaos::{FaultInjector, FaultKind, Site};
+use serde::Deserialize;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -793,24 +796,6 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream, reader_stream: &TcpStream,
     }
 }
 
-/// `(min, max)` from a Hello payload; a malformed payload degrades to
-/// `(0, 0)`, which negotiation rejects gracefully.
-fn parse_hello(payload: &[u8]) -> (u16, u16) {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return (0, 0);
-    };
-    let Ok(v) = Json::parse(text) else {
-        return (0, 0);
-    };
-    let field = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-            .min(u16::MAX as u64) as u16
-    };
-    (field("min"), field("max"))
-}
-
 /// Parse, dedup, and admit one Request frame.
 fn handle_request(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, conn_id: u64, frame: &Frame) {
     let request_id = frame.request_id;
@@ -822,16 +807,16 @@ fn handle_request(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, conn_id: u64, 
         ));
         return;
     };
-    let spec = match CampaignSpec::from_json(text) {
-        Ok(s) => s,
+    // Reserved option keys ride in the same JSON document as the spec;
+    // the spec decoder ignores unknown top-level keys by design.
+    let parsed = Json::parse(text).and_then(|root| Ok((CampaignSpec::read_json(&root)?, root)));
+    let (spec, opts) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             writer.send(&error_frame(request_id, "bad_request", &e));
             return;
         }
     };
-    // Reserved option keys ride in the same JSON document; the spec
-    // parser ignores unknown top-level keys by design.
-    let opts = Json::parse(text).expect("payload parsed once already");
     let opt_u64 = |k: &str| opts.get(k).and_then(Json::as_u64);
     let key = (conn_id, request_id);
     {

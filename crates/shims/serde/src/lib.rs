@@ -1,17 +1,24 @@
-//! Offline `serde` subset: JSON serialization only.
+//! Offline `serde` subset: one JSON codec.
 //!
 //! The build environment has no registry access, so the workspace vendors
 //! the slice of serde it uses: `#[derive(serde::Serialize)]` plus a
 //! [`Serialize`] trait that renders **canonical JSON** (object keys in
 //! declaration order, no whitespace, `\u` escapes for control
-//! characters). Enum representation matches serde's external tagging:
+//! characters), and its mirror `#[derive(serde::Deserialize)]` plus a
+//! [`Deserialize`] trait that reads a parsed [`Json`] tree back. Enum
+//! representation matches serde's external tagging:
 //!
 //! * unit variant → `"Name"`
 //! * newtype variant → `{"Name":value}`
 //! * struct/tuple variant → `{"Name":{...}}` / `{"Name":[...]}`
 //!
 //! Canonical output matters here: the campaign engine content-addresses
-//! cached analyses by hashing exactly these bytes.
+//! cached analyses by hashing exactly these bytes, so a decoded value
+//! re-encodes to the bytes it was read from.
+//!
+//! Deviations from real serde: no data-format abstraction (JSON only),
+//! no lifetimes on [`Deserialize`] (a `&'static str` is interned), and
+//! decoding ignores unknown object keys but never fills in a missing one.
 
 #![forbid(unsafe_code)]
 
@@ -19,9 +26,13 @@
 // tests as well as in downstream crates.
 extern crate self as serde;
 
-pub use serde_derive::Serialize;
+mod json;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+pub use json::Json;
+pub use serde_derive::{Deserialize, Serialize};
+
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::{Mutex, OnceLock};
 
 /// JSON serialization, serde-compatible in shape.
 pub trait Serialize {
@@ -213,6 +224,129 @@ impl_serialize_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
+/// JSON deserialization: the mirror of [`Serialize::write_json`].
+pub trait Deserialize: Sized {
+    /// Decode a value from its parsed JSON form.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first value of the wrong shape.
+    fn read_json(v: &Json) -> Result<Self, String>;
+}
+
+/// Decode the field `name` of the object `obj`. A missing field is an
+/// error (the encoder always writes every field, `null` included).
+///
+/// # Errors
+///
+/// `obj` is not an object, lacks `name`, or its value does not decode.
+pub fn read_field<T: Deserialize>(obj: &Json, name: &str) -> Result<T, String> {
+    let fields = obj
+        .as_obj()
+        .ok_or_else(|| format!("expected an object with field `{name}`"))?;
+    let (_, v) = fields
+        .iter()
+        .rev()
+        .find(|(k, _)| k == name)
+        .ok_or_else(|| format!("missing field `{name}`"))?;
+    T::read_json(v).map_err(|e| format!("`{name}`: {e}"))
+}
+
+/// The elements of a JSON array that must hold exactly `arity` values
+/// (a tuple struct or tuple variant).
+///
+/// # Errors
+///
+/// `v` is not an array of that length.
+pub fn read_tuple(v: &Json, arity: usize) -> Result<&[Json], String> {
+    match v.as_arr() {
+        Some(items) if items.len() == arity => Ok(items),
+        _ => Err(format!("expected an array of {arity} elements")),
+    }
+}
+
+/// Split an externally tagged enum value into its variant name and
+/// payload: `"Name"` gives no payload, `{"Name":value}` gives `value`.
+///
+/// # Errors
+///
+/// Anything else, including an object with more than one key.
+pub fn read_variant(v: &Json) -> Result<(&str, Option<&Json>), String> {
+    match v {
+        Json::Str(name) => Ok((name, None)),
+        Json::Obj(fields) => match fields.as_slice() {
+            [(name, payload)] => Ok((name, Some(payload))),
+            _ => Err("an enum object must have exactly one variant key".into()),
+        },
+        _ => Err("expected an enum variant (string or one-key object)".into()),
+    }
+}
+
+impl Deserialize for String {
+    fn read_json(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".into())
+    }
+}
+
+/// Decoded strings are interned in a process-global pool, so decoding
+/// the same text again (say, reloading a cache) returns the same
+/// allocation instead of leaking a new one.
+impl Deserialize for &'static str {
+    fn read_json(v: &Json) -> Result<Self, String> {
+        let s = v.as_str().ok_or("expected a string")?;
+        static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+        let mut pool = POOL.get_or_init(Default::default).lock().unwrap();
+        if let Some(&existing) = pool.get(s) {
+            return Ok(existing);
+        }
+        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
+        pool.insert(leaked);
+        Ok(leaked)
+    }
+}
+
+impl Deserialize for bool {
+    fn read_json(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a bool".into())
+    }
+}
+
+macro_rules! impl_deserialize_unsigned {
+    ($($t:ty),*) => {$(
+        impl Deserialize for $t {
+            fn read_json(v: &Json) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| format!("expected a {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+impl_deserialize_unsigned!(u32, u64, usize);
+
+impl<T: Deserialize> Deserialize for Option<T> {
+    fn read_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn read_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read_json(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,13 +372,13 @@ mod tests {
         assert_eq!(Option::<u32>::None.to_json(), "null");
     }
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Point {
         x: u64,
         y: Vec<u64>,
     }
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     enum Verdict {
         Plain,
         Accepts { witness: u64 },
@@ -252,11 +386,27 @@ mod tests {
         Pair(u32, u32),
     }
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Unit;
 
-    #[derive(Serialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Wrap(u64, bool);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Newtype(String);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Record {
+        name: String,
+        flag: bool,
+        small: u32,
+        size: usize,
+        maybe: Option<u64>,
+        nested: Vec<Verdict>,
+        wrap: Wrap,
+        unit: Unit,
+        id: Newtype,
+    }
 
     #[test]
     fn derived_struct() {
@@ -281,5 +431,91 @@ mod tests {
         );
         assert_eq!(Verdict::Reason("x").to_json(), "{\"Reason\":\"x\"}");
         assert_eq!(Verdict::Pair(1, 2).to_json(), "{\"Pair\":[1,2]}");
+    }
+
+    /// Decode `text` as a `T`, then demand the encoder give back `text`.
+    fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: T) {
+        let text = value.to_json();
+        let back = T::read_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, value, "decoded {text}");
+        assert_eq!(back.to_json(), text, "re-encoding changed the bytes");
+    }
+
+    #[test]
+    fn every_derived_shape_round_trips_byte_for_byte() {
+        round_trip(Unit);
+        round_trip(Wrap(u64::MAX, true));
+        round_trip(Newtype("quote \" back\\ tab\t nl\n ctl\u{1} é".into()));
+        round_trip(Point {
+            x: 0,
+            y: vec![1, 2, 3],
+        });
+        round_trip(Verdict::Plain);
+        round_trip(Verdict::Accepts { witness: 7 });
+        round_trip(Verdict::Reason("why \"not\""));
+        round_trip(Verdict::Pair(1, u32::MAX));
+        for maybe in [None, Some(3)] {
+            round_trip(Record {
+                name: String::new(),
+                flag: false,
+                small: 9,
+                size: 10,
+                maybe,
+                nested: vec![Verdict::Plain, Verdict::Pair(0, 0)],
+                wrap: Wrap(1, false),
+                unit: Unit,
+                id: Newtype("n".into()),
+            });
+        }
+    }
+
+    #[test]
+    fn decoded_static_strs_are_interned() {
+        let v = Json::parse("\"same reason\"").unwrap();
+        let a = <&'static str>::read_json(&v).unwrap();
+        let b = <&'static str>::read_json(&v).unwrap();
+        assert!(std::ptr::eq(a, b));
+    }
+
+    #[test]
+    fn wrong_shapes_are_rejected() {
+        let bad = |text: &str| Json::parse(text).unwrap();
+        // Wrong types.
+        assert!(u64::read_json(&bad("\"1\"")).is_err());
+        assert!(u64::read_json(&bad("-1")).is_err());
+        assert!(u64::read_json(&bad("1.0")).is_err());
+        assert!(u32::read_json(&bad("4294967296")).is_err());
+        assert!(bool::read_json(&bad("1")).is_err());
+        assert!(String::read_json(&bad("null")).is_err());
+        assert!(Vec::<u64>::read_json(&bad("{}")).is_err());
+        assert!(Unit::read_json(&bad("[]")).is_err());
+        assert!(Wrap::read_json(&bad("[1]")).is_err());
+        assert!(Wrap::read_json(&bad("[1,true,2]")).is_err());
+        assert!(Point::read_json(&bad("[0,[]]")).is_err());
+        assert!(Point::read_json(&bad(r#"{"x":0,"y":[1,"2"]}"#)).is_err());
+        // Missing fields, also in a struct variant.
+        assert!(Point::read_json(&bad(r#"{"x":0}"#)).is_err());
+        assert!(Verdict::read_json(&bad(r#"{"Accepts":{}}"#)).is_err());
+        // Unknown variants, and known ones in the wrong shape.
+        assert!(Verdict::read_json(&bad(r#""Bogus""#)).is_err());
+        assert!(Verdict::read_json(&bad(r#"{"Bogus":1}"#)).is_err());
+        assert!(Verdict::read_json(&bad(r#""Accepts""#)).is_err());
+        assert!(Verdict::read_json(&bad(r#"{"Plain":null}"#)).is_err());
+        assert!(Verdict::read_json(&bad(r#"{"Pair":[1]}"#)).is_err());
+        // Multi-key variant objects.
+        assert!(Verdict::read_json(&bad(r#"{"Plain":null,"Reason":"x"}"#)).is_err());
+        assert!(Verdict::read_json(&bad(r#"{"Reason":"x","Reason":"y"}"#)).is_err());
+        assert!(Verdict::read_json(&bad("{}")).is_err());
+    }
+
+    #[test]
+    fn unknown_fields_are_ignored_and_errors_name_the_path() {
+        let v = Json::parse(r#"{"x":1,"y":[],"extra":true}"#).unwrap();
+        assert_eq!(Point::read_json(&v).unwrap(), Point { x: 1, y: vec![] });
+        let v = Json::parse(r#"{"x":1,"y":[2,"3"]}"#).unwrap();
+        assert_eq!(
+            Point::read_json(&v).unwrap_err(),
+            "`y`: [1]: expected a u64"
+        );
     }
 }

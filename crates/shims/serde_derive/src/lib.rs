@@ -1,11 +1,13 @@
-//! `#[derive(Serialize)]` for the offline serde shim.
+//! `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the offline
+//! serde shim.
 //!
 //! No `syn`/`quote` (no registry access), so the input item is parsed
 //! directly from its token trees. Supported shapes — the only ones this
 //! workspace derives on — are non-generic structs (named, tuple, unit)
 //! and enums whose variants are unit, tuple, or struct-like. The
 //! generated code writes serde-compatible externally-tagged JSON via
-//! `::serde::Serialize`.
+//! `::serde::Serialize` and reads exactly that shape back via
+//! `::serde::Deserialize`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -26,6 +28,33 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     );
     code.parse().expect("serde_derive generated invalid Rust")
 }
+
+/// Derive `serde::Deserialize` (JSON reader) for the same shapes, with
+/// the same external tagging, that `Serialize` writes.
+#[proc_macro_derive(Deserialize)]
+pub fn derive_deserialize(input: TokenStream) -> TokenStream {
+    let item = parse_item(input);
+    let body = match &item.shape {
+        Shape::NamedStruct(fields) => read_named("Self", fields, "v"),
+        Shape::TupleStruct(arity) => read_tuple("Self", *arity, "v"),
+        Shape::UnitStruct => format!(
+            "match v {{ ::serde::Json::Null => {OK}(Self), \
+             _ => {ERR}(\"expected null\".into()) }}"
+        ),
+        Shape::Enum(variants) => read_enum(&item.name, variants),
+    };
+    let code = format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn read_json(v: &::serde::Json) -> ::std::result::Result<Self, ::std::string::String> {{\n\
+         {body}\n}}\n}}",
+        name = item.name,
+    );
+    code.parse().expect("serde_derive generated invalid Rust")
+}
+
+const OK: &str = "::std::result::Result::Ok";
+const ERR: &str = "::std::result::Result::Err";
+const READ: &str = "::serde::Deserialize::read_json";
 
 struct Item {
     name: String,
@@ -250,5 +279,49 @@ fn enum_body(variants: &[Variant]) -> String {
         }
     }
     s.push('}');
+    s
+}
+
+/// `Ok(path { a: <field a of src>, ... })`.
+fn read_named(path: &str, fields: &[String], src: &str) -> String {
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::read_field({src}, \"{f}\")?"))
+        .collect();
+    format!("{OK}({path} {{ {} }})", inits.join(", "))
+}
+
+/// `Ok(path(<src>))` for a newtype, else `Ok(path(<src[0]>, ...))` over
+/// an array of exactly `arity` elements.
+fn read_tuple(path: &str, arity: usize, src: &str) -> String {
+    if arity == 1 {
+        return format!("{OK}({path}({READ}({src})?))");
+    }
+    let elems: Vec<String> = (0..arity).map(|i| format!("{READ}(&__t[{i}])?")).collect();
+    format!(
+        "{{ let __t = ::serde::read_tuple({src}, {arity})?; {OK}({path}({})) }}",
+        elems.join(", ")
+    )
+}
+
+fn read_enum(name: &str, variants: &[Variant]) -> String {
+    let mut s = String::from("match ::serde::read_variant(v)? {\n");
+    for v in variants {
+        let vname = &v.name;
+        let path = format!("Self::{vname}");
+        // A unit variant is a bare string (no payload); the others are
+        // one-key objects whose payload decodes like a struct body.
+        let (payload, arm) = match &v.kind {
+            VariantKind::Unit => ("None", format!("{OK}({path})")),
+            VariantKind::Tuple(arity) => ("Some(__p)", read_tuple(&path, *arity, "__p")),
+            VariantKind::Named(fields) => ("Some(__p)", read_named(&path, fields, "__p")),
+        };
+        s.push_str(&format!(
+            "(\"{vname}\", ::std::option::Option::{payload}) => {arm},\n"
+        ));
+    }
+    s.push_str(&format!(
+        "(__other, _) => {ERR}(::std::format!(\"unknown or malformed variant {{__other:?}} of {name}\")),\n}}"
+    ));
     s
 }

@@ -55,7 +55,7 @@ impl CodeSource for (u64, &[u8]) {
 }
 
 /// Verdict for one filter function.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum FilterVerdict {
     /// Some path handles an access violation (returns ≠ 0). The witness
     /// model pins the symbolic exception-record fields.

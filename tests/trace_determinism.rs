@@ -3,6 +3,8 @@
 //! * the deterministic event sequence of a traced campaign is
 //!   **byte-identical** across worker counts, fault injection
 //!   included — only wall stamps may differ;
+//! * tracing only observes: traced and untraced runs give
+//!   byte-identical results;
 //! * a trace round-trips through its JSONL form losslessly;
 //! * a chaos campaign's trace covers every pipeline stage, fault
 //!   events included, and `report`-style stage statistics see them.
@@ -46,16 +48,16 @@ fn spec() -> CampaignSpec {
         .expect("trace spec is valid")
 }
 
-/// Run the spec traced, under the mayhem fault plan, against a fresh
-/// cache directory (so cache spans and `cache.record` faults appear).
-fn traced_run(jobs: usize, tag: &str) -> (Trace, String) {
+/// Run the spec under the mayhem fault plan against a fresh cache
+/// directory (so cache spans and `cache.record` faults appear) and
+/// return its deterministic results document.
+fn run(jobs: usize, tag: &str) -> String {
     let dir = scratch(tag);
     let injector = Arc::new(FaultInjector::new(
         FaultPlan::builtin("mayhem")
             .expect("builtin plan")
             .with_seed(2017),
     ));
-    assert!(cr_trace::start(), "no other session may be active");
     let report = run_campaign(
         &spec(),
         &EngineConfig {
@@ -67,9 +69,15 @@ fn traced_run(jobs: usize, tag: &str) -> (Trace, String) {
         },
     )
     .expect("campaign cache I/O");
-    let trace = cr_trace::finish();
     let _ = std::fs::remove_dir_all(&dir);
-    (trace, report.results_json())
+    report.results_json()
+}
+
+/// [`run`] inside a trace session.
+fn traced_run(jobs: usize, tag: &str) -> (Trace, String) {
+    assert!(cr_trace::start(), "no other session may be active");
+    let results = run(jobs, tag);
+    (cr_trace::finish(), results)
 }
 
 #[test]
@@ -87,6 +95,17 @@ fn deterministic_events_are_byte_identical_across_jobs() {
         "deterministic event sequence must not depend on --jobs"
     );
     assert_eq!(serial.dropped, 0, "ring capacity fits a smoke campaign");
+}
+
+/// Tracing only observes: a traced run's deterministic results are
+/// byte-identical to an untraced run's.
+#[test]
+fn traced_and_untraced_runs_give_identical_results() {
+    let _guard = solo();
+    let untraced = run(2, "untraced");
+    let (trace, traced) = traced_run(2, "traced");
+    assert!(!trace.events.is_empty(), "the traced run must emit events");
+    assert_eq!(untraced, traced, "tracing must not change results_json");
 }
 
 #[test]
