@@ -1,33 +1,14 @@
 //! Regenerate **Table I**: crash-resistant syscall candidates across the
 //! five server applications.
 
-use cr_core::report::render_table1;
+use cr_core::report::render_table1_artifact;
 use cr_core::syscall_finder::discover_server;
 
 fn main() {
-    cr_bench::banner("Table I — syscall probing candidates (Linux servers)");
     let mut reports = Vec::new();
     for target in cr_targets::all_servers() {
         eprintln!("[table1] discovering on {} ...", target.name);
         reports.push(discover_server(&target));
     }
-    println!("{}", render_table1(&reports));
-    println!("usable primitives found by the framework:");
-    for r in &reports {
-        for f in r.usable() {
-            println!(
-                "  {:<12} {:<12} arg {}  sources {:x?}  (service alive after: {})",
-                r.server,
-                f.syscall_name,
-                f.arg_index,
-                f.sources,
-                matches!(
-                    f.classification,
-                    cr_core::Classification::Usable {
-                        service_after: true
-                    }
-                )
-            );
-        }
-    }
+    print!("{}", render_table1_artifact(&reports));
 }

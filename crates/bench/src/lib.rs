@@ -16,7 +16,5 @@
 
 /// Shared banner printing for the experiment binaries.
 pub fn banner(title: &str) {
-    println!("{}", "=".repeat(72));
-    println!("{title}");
-    println!("{}", "=".repeat(72));
+    print!("{}", cr_core::report::banner(title));
 }

@@ -34,9 +34,10 @@ use cr_campaign::{
     Report, ReportKind, TaskResult,
 };
 use cr_chaos::{FaultInjector, FaultPlan, Site, BUILTIN_PLANS};
+use cr_core::report::render_findings;
 use cr_core::seh::{analyze_module, FilterClass, PeCode};
 use cr_core::static_cfg;
-use cr_core::syscall_finder::{discover_server, Classification};
+use cr_core::syscall_finder::discover_server;
 use cr_exploits::{MemoryOracle, ProbeResult};
 use cr_image::FilterRef;
 use cr_symex::{FilterExplorer, FilterVerdict};
@@ -56,7 +57,17 @@ const EXIT_DEGRADED: i32 = 4;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `<verb> --help` (or `-h`) anywhere after a known verb asks for help.
+    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     let code = match args.first().map(String::as_str) {
+        None | Some("help" | "-h" | "--help") => {
+            print!("{}", HELP);
+            EXIT_OK
+        }
+        Some(verb) if wants_help && VERBS.contains(&verb) => {
+            print!("{}", HELP);
+            EXIT_OK
+        }
         Some("discover") => cmd_discover(args.get(1).map(String::as_str)),
         Some("analyze") => cmd_analyze(args.get(1).map(String::as_str)),
         Some("explore") => cmd_explore(&args[1..]),
@@ -75,10 +86,6 @@ fn main() {
         Some("client") => cmd_client(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
-        None | Some("help" | "-h" | "--help") => {
-            print!("{}", HELP);
-            EXIT_OK
-        }
         Some(other) => {
             eprintln!(
                 "unknown command {other:?} (expected one of: {})",
@@ -118,6 +125,7 @@ USAGE:
     crash-resist client [options]        send campaign requests to a server
     crash-resist report <trace>...       per-stage latencies + timeline from traces
     crash-resist list [--json]           list available servers/DLLs/oracles
+    crash-resist <command> --help        print this help (also -h)
 
 EXPLORE OPTIONS:
     <dll>           a calibrated DLL name or the loopy family (see `list`)
@@ -260,24 +268,7 @@ fn cmd_discover(name: Option<&str>) -> i32 {
         return EXIT_UNKNOWN_TARGET;
     };
     eprintln!("discovering crash-resistant primitives in {name} ...");
-    let report = discover_server(&target);
-    for f in &report.findings {
-        let verdict = match f.classification {
-            Classification::CrashesOnInvalidation => "crashes-on-invalidation",
-            Classification::Usable {
-                service_after: true,
-            } => "USABLE",
-            Classification::Usable {
-                service_after: false,
-            } => "usable(FALSE-POSITIVE)",
-            Classification::NotRetriggered => "not-retriggered",
-        };
-        println!(
-            "{:<12} arg{} sources={:x?} net-tainted={} efaults={} -> {}",
-            f.syscall_name, f.arg_index, f.sources, f.tainted_by_input, f.efaults_observed, verdict
-        );
-    }
-    println!("{} usable primitive(s)", report.usable().len());
+    print!("{}", render_findings(&discover_server(&target)));
     EXIT_OK
 }
 

@@ -19,7 +19,14 @@ fn run(args: &[&str]) -> (i32, String, String) {
 
 #[test]
 fn help_paths_exit_zero() {
-    for args in [&[] as &[&str], &["help"], &["--help"]] {
+    for args in [
+        &[] as &[&str],
+        &["help"],
+        &["--help"],
+        &["campaign", "--help"],
+        &["discover", "--help"],
+        &["serve", "-h"],
+    ] {
         let (code, stdout, _) = run(args);
         assert_eq!(code, 0, "{args:?}");
         assert!(stdout.contains("USAGE"), "{args:?}");

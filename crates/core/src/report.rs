@@ -54,6 +54,60 @@ pub fn render_table1(reports: &[ServerReport]) -> String {
     out
 }
 
+/// The banner every paper-artifact binary prints above its output.
+pub fn banner(title: &str) -> String {
+    let rule = "=".repeat(72);
+    format!("{rule}\n{title}\n{rule}\n")
+}
+
+/// The `table1` binary's whole output for `reports`: the banner, Table I
+/// and every usable primitive with its source cells.
+pub fn render_table1_artifact(reports: &[ServerReport]) -> String {
+    let mut out = banner("Table I — syscall probing candidates (Linux servers)");
+    out.push_str(&render_table1(reports));
+    out.push_str("\nusable primitives found by the framework:\n");
+    for r in reports {
+        for f in r.usable() {
+            out.push_str(&format!(
+                "  {:<12} {:<12} arg {}  sources {:x?}  (service alive after: {})\n",
+                r.server,
+                f.syscall_name,
+                f.arg_index,
+                f.sources,
+                f.classification
+                    == Classification::Usable {
+                        service_after: true
+                    }
+            ));
+        }
+    }
+    out
+}
+
+/// `crash-resist discover`'s output for one server: a line per finding
+/// (sources, input taint, `-EFAULT` count, verdict) and the usable count.
+pub fn render_findings(report: &ServerReport) -> String {
+    let mut out = String::new();
+    for f in &report.findings {
+        let verdict = match f.classification {
+            Classification::CrashesOnInvalidation => "crashes-on-invalidation",
+            Classification::Usable {
+                service_after: true,
+            } => "USABLE",
+            Classification::Usable {
+                service_after: false,
+            } => "usable(FALSE-POSITIVE)",
+            Classification::NotRetriggered => "not-retriggered",
+        };
+        out.push_str(&format!(
+            "{:<12} arg{} sources={:x?} net-tainted={} efaults={} -> {}\n",
+            f.syscall_name, f.arg_index, f.sources, f.tainted_by_input, f.efaults_observed, verdict
+        ));
+    }
+    out.push_str(&format!("{} usable primitive(s)\n", report.usable().len()));
+    out
+}
+
 /// Render Table II (guarded code locations per DLL).
 pub fn render_table2(rows: &[(ModuleSehAnalysis, usize)]) -> String {
     let mut out = String::new();

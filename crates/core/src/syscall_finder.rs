@@ -286,6 +286,13 @@ impl OsHook for FinderMonitor {
 
 /// Invalidation-phase monitor: overwrite the source cells with an
 /// invalid pointer right before the server loads them.
+///
+/// It does not observe ([`Hook::observes`] is `false`), so the Linux
+/// scheduler may fast-forward a corrupted thread's fixed-point spin
+/// under it: its one action is a store of the bad pointer, which bumps
+/// [`Memory::writes`] and so ends any fixed point, and it skips cells
+/// that already hold the bad pointer, so on a cycle that stores nothing
+/// every callback leaves `pokes` and `originals` as they were.
 pub struct CorruptMonitor {
     cells: BTreeSet<u64>,
     bad: u64,
@@ -340,6 +347,10 @@ impl Hook for CorruptMonitor {
                 }
             }
         }
+    }
+
+    fn observes(&self) -> bool {
+        false
     }
 }
 

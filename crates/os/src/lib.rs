@@ -16,6 +16,7 @@
 //! [`cr_vm::Hook`] with syscall- and API-level events — the analogue of
 //! the paper's libdft/DynamoRIO tooling layers.
 
+mod fixed_point;
 pub mod linux;
 pub mod windows;
 

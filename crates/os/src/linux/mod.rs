@@ -5,11 +5,22 @@
 //! pointers and reports `-EFAULT` instead of faulting the process**. A
 //! server that checks syscall return values therefore survives probes of
 //! arbitrary addresses — the crash-resistant primitive class of §III-A.1.
+//!
+//! A server that retries such a call in a loop (Cherokee's corrupted
+//! `epoll_wait` worker, §VI-D) spins until a timer wakes another thread.
+//! When the hook does not observe ([`cr_vm::Hook::observes`]), the
+//! scheduler jumps the spinning thread over the cycles it would repeat
+//! bit for bit, advancing only virtual time, step counts and
+//! [`LinuxProc::efault_count`] (see `fixed_point` and
+//! `LinuxProc::fast_forward`). A cycle qualifies only if its syscall
+//! failed before touching any kernel state; everything observable stays
+//! as if each cycle had been stepped.
 
 pub mod fs;
 pub mod net;
 pub mod syscall;
 
+use crate::fixed_point::{Clocks, Mark};
 use crate::{OsHook, STEPS_PER_MS};
 use cr_image::ElfImage;
 use cr_vm::{Access, Cpu, Exit, Fault, Hook, Memory, Prot};
@@ -230,11 +241,12 @@ impl LinuxProc {
                 }
             };
             self.cur = idx;
-            self.run_thread_slice(idx, budget_end.min(self.vtime + QUANTUM), hook);
+            self.run_thread_slice(idx, budget_end, hook);
         }
     }
 
-    fn run_thread_slice(&mut self, idx: usize, slice_end: u64, hook: &mut dyn OsHook) {
+    fn run_thread_slice(&mut self, idx: usize, budget_end: u64, hook: &mut dyn OsHook) {
+        let mut slice_end = budget_end.min(self.vtime + QUANTUM);
         hook.on_schedule(self.threads[idx].tid);
         // Re-dispatch a pending (blocking) syscall first if one is saved.
         // Argument registers are unchanged while blocked, so the retry
@@ -259,6 +271,11 @@ impl LinuxProc {
                 return;
             }
         }
+        // The last pure syscall return of this slice, while everything
+        // since it was pure too (see `fast_forward`); a hook that
+        // observes rules the skip out.
+        let skips = !hook.observes();
+        let mut last: Option<Mark> = None;
         while self.vtime < slice_end
             && self.threads[idx].state == ThreadState::Runnable
             && self.exited.is_none()
@@ -271,8 +288,8 @@ impl LinuxProc {
             };
             self.vtime += 1;
             match exit {
-                Exit::Normal | Exit::Breakpoint => {}
-                Exit::Hypercall => {}
+                Exit::Normal => {}
+                Exit::Breakpoint | Exit::Hypercall => last = None,
                 Exit::Halt => break, // cooperative yield
                 Exit::Syscall => {
                     let (nr_, args) = {
@@ -289,7 +306,16 @@ impl LinuxProc {
                         ];
                         (nr_, args)
                     };
-                    self.dispatch(idx, nr_, args, hook);
+                    if !(self.dispatch(idx, nr_, args, hook) && skips) {
+                        last = None;
+                        continue;
+                    }
+                    let mut mark = self.mark(idx);
+                    if let Some(cycle) = last.and_then(|l| l.cycle_to(&mark)) {
+                        slice_end = self.fast_forward(idx, cycle, slice_end, budget_end);
+                        mark = self.mark(idx);
+                    }
+                    last = Some(mark);
                 }
                 Exit::Fault(f) => {
                     self.deliver_fault(idx, Some(f));
@@ -301,6 +327,57 @@ impl LinuxProc {
                 }
             }
         }
+    }
+
+    /// Skip whole repetitions of a fixed-point cycle of thread `idx`
+    /// (see [`crate::fixed_point`]) and return the slice's new end.
+    ///
+    /// The cycle ran between two pure syscall returns: plain
+    /// instructions and a syscall that failed before touching any kernel
+    /// state (see `reject`), such as a spin on `epoll_wait` with an
+    /// invalid buffer. Until `slice_end` no other thread runs and no
+    /// sleeper wakes, so the cycle repeats at least that far. Past it,
+    /// if no other thread is runnable or ready, only a timer can end the
+    /// spin, and a stepped run wakes a sleeper only where a slice ends:
+    /// on the grid `slice_end + j·QUANTUM`. So the skip ends every
+    /// skipped cycle at or before the first grid point at or after the
+    /// earliest deadline, and at or before `budget_end`, and the slice
+    /// then ends on the same grid. Only called for a hook that does not
+    /// observe, since a skipped cycle fires no hook callbacks.
+    fn fast_forward(&mut self, idx: usize, cycle: Clocks, slice_end: u64, budget_end: u64) -> u64 {
+        let others_wait = self.threads.iter().enumerate().all(|(j, t)| {
+            j == idx
+                || match t.state {
+                    ThreadState::Runnable => false,
+                    ThreadState::Blocked { wait, .. } => !self.wait_ready(wait),
+                    ThreadState::Exited => true,
+                }
+        });
+        let grid = |v: u64| {
+            let over = v.saturating_sub(slice_end);
+            slice_end.saturating_add(over.div_ceil(QUANTUM).saturating_mul(QUANTUM))
+        };
+        let limit = if others_wait {
+            self.earliest_deadline()
+                .map_or(budget_end, |d| grid(d).min(budget_end))
+        } else {
+            slice_end
+        };
+        let skipped = cycle.times(limit.saturating_sub(self.vtime) / cycle.vtime);
+        self.vtime += skipped.vtime;
+        self.threads[idx].cpu.steps += skipped.steps;
+        self.efault_count += skipped.efaults;
+        grid(self.vtime).min(budget_end)
+    }
+
+    /// Thread `idx`'s state and the clocks, for [`LinuxProc::fast_forward`].
+    fn mark(&self, idx: usize) -> Mark {
+        Mark::of(
+            &self.threads[idx].cpu,
+            &self.mem,
+            self.vtime,
+            self.efault_count,
+        )
     }
 
     fn deliver_fault(&mut self, idx: usize, fault: Option<Fault>) {
@@ -359,12 +436,7 @@ impl LinuxProc {
                 continue;
             };
             let timer_fired = deadline.map(|d| vtime >= d).unwrap_or(false);
-            let ready = match wait {
-                Wait::ConnReadable(id) => self.net.server_readable(id),
-                Wait::Accept(port) => self.net.has_pending(port),
-                Wait::Epoll(epfd) => self.epoll_ready_count(epfd) > 0,
-                Wait::Sleep => false,
-            };
+            let ready = self.wait_ready(wait);
             if ready || timer_fired {
                 to_wake.push((i, timer_fired && !ready));
             }
@@ -372,6 +444,16 @@ impl LinuxProc {
         for (i, by_timer) in to_wake {
             self.threads[i].state = ThreadState::Runnable;
             self.threads[i].timer_fired = by_timer;
+        }
+    }
+
+    /// Whether what a thread waits for is there (timers aside).
+    fn wait_ready(&self, wait: Wait) -> bool {
+        match wait {
+            Wait::ConnReadable(id) => self.net.server_readable(id),
+            Wait::Accept(port) => self.net.has_pending(port),
+            Wait::Epoll(epfd) => self.epoll_ready_count(epfd) > 0,
+            Wait::Sleep => false,
         }
     }
 
@@ -416,9 +498,28 @@ impl LinuxProc {
         Err(-errno::EINVAL)
     }
 
-    fn block(&mut self, idx: usize, nr_: u64, args: [u64; 6], wait: Wait, deadline: Option<u64>) {
+    /// Park thread `idx` in call `nr_` until `wait` or `deadline`.
+    /// Returns `false`: blocking is never a pure return.
+    fn block(
+        &mut self,
+        idx: usize,
+        nr_: u64,
+        args: [u64; 6],
+        wait: Wait,
+        deadline: Option<u64>,
+    ) -> bool {
         self.threads[idx].pending = Some((nr_, args));
         self.threads[idx].state = ThreadState::Blocked { wait, deadline };
+        false
+    }
+
+    /// Fail call `nr_` with `err` before it touched any kernel state (the
+    /// network, the VFS, fds, signal handlers, mappings, threads or
+    /// `timer_fired`). Returns `true`: this is a *pure* return, which a
+    /// fixed-point cycle may contain (see `fast_forward`).
+    fn reject(&mut self, idx: usize, nr_: u64, err: i64, hook: &mut dyn OsHook) -> bool {
+        self.finish(idx, nr_, err, hook);
+        true
     }
 
     fn finish(&mut self, idx: usize, nr_: u64, ret: i64, hook: &mut dyn OsHook) {
@@ -430,8 +531,10 @@ impl LinuxProc {
         hook.on_syscall_ret(tid, nr_, ret);
     }
 
+    /// Run syscall `nr_` for thread `idx`. Returns whether it was a pure
+    /// return (see `reject`).
     #[allow(clippy::too_many_lines)]
-    fn dispatch(&mut self, idx: usize, nr_: u64, args: [u64; 6], hook: &mut dyn OsHook) {
+    fn dispatch(&mut self, idx: usize, nr_: u64, args: [u64; 6], hook: &mut dyn OsHook) -> bool {
         let ret: i64 = match nr_ {
             nr::READ | nr::RECVFROM => {
                 let (fd, buf, count) = (args[0] as i64, args[1], args[2]);
@@ -482,8 +585,7 @@ impl LinuxProc {
                 let (fd, buf, count) = (args[0] as i64, args[1], args[2]);
                 let mut data = vec![0u8; count as usize];
                 if self.mem.read(buf, &mut data).is_err() {
-                    self.finish(idx, nr_, -errno::EFAULT, hook);
-                    return;
+                    return self.reject(idx, nr_, -errno::EFAULT, hook);
                 }
                 match self.fd_kind(fd) {
                     Some(FdKind::Conn(id)) => self.net.server_send(id, &data) as i64,
@@ -566,8 +668,7 @@ impl LinuxProc {
                 let (fd, addr) = (args[0] as usize, args[1]);
                 let mut sa = [0u8; 4];
                 if self.mem.read(addr, &mut sa).is_err() {
-                    self.finish(idx, nr_, -errno::EFAULT, hook);
-                    return;
+                    return self.reject(idx, nr_, -errno::EFAULT, hook);
                 }
                 let port = u16::from_be_bytes([sa[2], sa[3]]);
                 match self.fds.get_mut(fd) {
@@ -640,8 +741,7 @@ impl LinuxProc {
                 } else {
                     let mut ev = [0u8; 12];
                     if self.mem.read(event, &mut ev).is_err() {
-                        self.finish(idx, nr_, -errno::EFAULT, hook);
-                        return;
+                        return self.reject(idx, nr_, -errno::EFAULT, hook);
                     }
                     u64::from_le_bytes(ev[4..12].try_into().unwrap())
                 };
@@ -671,16 +771,14 @@ impl LinuxProc {
                 // THE Cherokee/PostgreSQL primitive: the kernel validates
                 // the events buffer before sleeping and reports -EFAULT.
                 if maxevents == 0 {
-                    self.finish(idx, nr_, -errno::EINVAL, hook);
-                    return;
+                    return self.reject(idx, nr_, -errno::EINVAL, hook);
                 }
                 if self
                     .mem
                     .check(events, (maxevents * 12) as u64, Access::Write)
                     .is_err()
                 {
-                    self.finish(idx, nr_, -errno::EFAULT, hook);
-                    return;
+                    return self.reject(idx, nr_, -errno::EFAULT, hook);
                 }
                 let ready = self.epoll_ready(epfd, maxevents);
                 if ready.is_empty() {
@@ -793,12 +891,12 @@ impl LinuxProc {
                     self.exited = Some(args[0] as i64);
                 }
                 hook.on_syscall_ret(self.threads[idx].tid, nr_, 0);
-                return;
+                return false;
             }
             nr::EXIT_GROUP => {
                 self.exited = Some(args[0] as i64);
                 hook.on_syscall_ret(self.threads[idx].tid, nr_, 0);
-                return;
+                return false;
             }
             nr::CHMOD => match self.read_cstr(args[0]) {
                 Err(e) => e,
@@ -831,6 +929,7 @@ impl LinuxProc {
             _ => -errno::ENOSYS,
         };
         self.finish(idx, nr_, ret, hook);
+        false
     }
 
     fn epoll_ready(&self, epfd: i32, max: usize) -> Vec<(i32, u64, u32)> {

@@ -18,18 +18,20 @@
 //! Every dispatched exception is appended to [`WinProc::fault_log`]; the
 //! rate-based defense of §VII-C consumes that log.
 //!
-//! Idle time is cheap: when no hook observes ([`cr_vm::NullHook`]), the
-//! scheduler jumps a polling thread over the `hlt`-ended cycles it would
-//! repeat bit for bit, advancing only virtual time and step counts (see
+//! Idle time is cheap: when the hook does not observe
+//! ([`cr_vm::Hook::observes`]), the scheduler jumps a polling thread
+//! over the `hlt`-ended cycles it would repeat bit for bit, advancing
+//! only virtual time and step counts (see `fixed_point` and
 //! `WinProc::fast_forward`). Everything observable stays as if each
 //! cycle had been stepped.
 
 pub mod api;
 
+use crate::fixed_point::Mark;
 use crate::{OsHook, STEPS_PER_MS};
 use api::{execute_api, ApiOutcome, ApiTable};
 use cr_image::{FilterRef, PeImage};
-use cr_vm::{Cpu, Exit, Fault, Flags, Memory, NullHook, Prot};
+use cr_vm::{Cpu, Exit, Fault, Memory, NullHook, Prot};
 
 /// `STATUS_ACCESS_VIOLATION`.
 pub const STATUS_ACCESS_VIOLATION: u32 = 0xC000_0005;
@@ -124,42 +126,6 @@ enum TState {
     Sleeping(u64),
     Parked,
     Exited,
-}
-
-/// What a slice of one thread depends on and produces: the thread's
-/// architectural state plus the memory's store and mapping counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SliceState {
-    regs: [u64; 16],
-    rip: u64,
-    flags: Flags,
-    writes: u64,
-    generation: u64,
-}
-
-/// A [`SliceState`] with the clocks it was read at.
-#[derive(Debug, Clone, Copy)]
-struct SliceMark {
-    state: SliceState,
-    vtime: u64,
-    steps: u64,
-}
-
-impl SliceMark {
-    fn of(p: &WinProc, i: usize) -> SliceMark {
-        let cpu = &p.threads[i].cpu;
-        SliceMark {
-            state: SliceState {
-                regs: cpu.regs,
-                rip: cpu.rip,
-                flags: cpu.flags,
-                writes: p.mem.writes(),
-                generation: p.mem.generation(),
-            },
-            vtime: p.vtime,
-            steps: cpu.steps,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -419,7 +385,7 @@ impl WinProc {
         hook.on_schedule(self.threads[i].tid);
         // Where the slice started, while it may still turn out pure (see
         // `fast_forward`); a hook that observes rules the skip out.
-        let mut start = (!hook.observes()).then(|| SliceMark::of(self, i));
+        let mut start = (!hook.observes()).then(|| self.mark(i));
         let slice_end = budget_end.min(self.vtime + QUANTUM);
         while self.vtime < slice_end
             && self.threads[i].state == TState::Runnable
@@ -461,37 +427,41 @@ impl WinProc {
     }
 
     /// Skip whole repetitions of the pure slice thread `i` just ran, if
-    /// the slice was a fixed point.
+    /// the slice was a fixed point (see [`crate::fixed_point`]).
     ///
     /// A *pure* slice retires only plain instructions and ends in `hlt`:
     /// no API dispatch, exception, syscall/int3/cpuid, trap-page park or
-    /// quantum cut. If it also left the thread's registers, `rip` and
-    /// flags as it found them and wrote no memory, the next slice of the
-    /// thread is bit for bit the same, and so is every one after it until
-    /// something else changes. So with no other thread runnable, `k`
-    /// further cycles cost only their virtual time and retired steps:
-    /// `k` is bounded so every skipped cycle ends at or before
-    /// `budget_end` and every skipped slice starts before the earliest
-    /// sleeper's deadline. Only called for a hook that does not observe,
-    /// since a skipped cycle fires no hook callbacks.
-    fn fast_forward(&mut self, i: usize, start: SliceMark, budget_end: u64) {
-        let end = SliceMark::of(self, i);
-        if end.state != start.state
-            || self
-                .threads
-                .iter()
-                .enumerate()
-                .any(|(j, t)| j != i && t.state == TState::Runnable)
+    /// quantum cut. With no other thread runnable, `k` further cycles
+    /// cost only their virtual time and retired steps: `k` is bounded so
+    /// every skipped cycle ends at or before `budget_end` and every
+    /// skipped slice starts before the earliest sleeper's deadline (a
+    /// sleeper is woken at the start of every slice). Only called for a
+    /// hook that does not observe, since a skipped cycle fires no hook
+    /// callbacks.
+    fn fast_forward(&mut self, i: usize, start: Mark, budget_end: u64) {
+        let Some(cycle) = start.cycle_to(&self.mark(i)) else {
+            return;
+        };
+        if self
+            .threads
+            .iter()
+            .enumerate()
+            .any(|(j, t)| j != i && t.state == TState::Runnable)
         {
             return;
         }
-        let period = end.vtime - start.vtime;
-        let mut k = budget_end.saturating_sub(self.vtime) / period;
+        let mut k = budget_end.saturating_sub(self.vtime) / cycle.vtime;
         if let Some(d) = self.next_wake() {
-            k = k.min(d.saturating_sub(self.vtime).div_ceil(period));
+            k = k.min(d.saturating_sub(self.vtime).div_ceil(cycle.vtime));
         }
-        self.vtime += k * period;
-        self.threads[i].cpu.steps += k * (end.steps - start.steps);
+        let skipped = cycle.times(k);
+        self.vtime += skipped.vtime;
+        self.threads[i].cpu.steps += skipped.steps;
+    }
+
+    /// Thread `i`'s state and the clocks, for [`WinProc::fast_forward`].
+    fn mark(&self, i: usize) -> Mark {
+        Mark::of(&self.threads[i].cpu, &self.mem, self.vtime, 0)
     }
 
     /// The earliest deadline of a sleeping thread.

@@ -50,9 +50,15 @@ pub trait Hook {
     }
 
     /// Whether the hook needs to see every instruction. A scheduler may
-    /// skip provably repeating idle cycles (advancing virtual time and
-    /// step counts without stepping) only for a hook that returns
-    /// `false`; every hook but [`NullHook`] keeps the default.
+    /// skip provably repeating cycles (advancing virtual time and step
+    /// counts without stepping or firing any callback) only for a hook
+    /// that returns `false`. Return `false` only if every callback on a
+    /// cycle that leaves the registers, flags, `rip`,
+    /// [`Memory::writes`] and [`Memory::generation`] unchanged is a
+    /// no-op on the hook's own state. [`NullHook`] does; so does a hook
+    /// whose only action is a store (the store bumps `writes`). Hooks
+    /// that record what runs, such as [`CoverageHook`] and taint, keep
+    /// the default, and so does [`PairHook`].
     fn observes(&self) -> bool {
         true
     }
