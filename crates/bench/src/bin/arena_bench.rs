@@ -84,7 +84,10 @@ fn render(matrix: &[cr_arena::ArenaSummary]) -> String {
 }
 
 fn main() {
-    cr_bench::banner("arena bench — probing strategies vs the detector roster (§VII-C)");
+    print!(
+        "{}",
+        cr_core::report::banner("arena bench — probing strategies vs the detector roster (§VII-C)")
+    );
     let bench_rounds = env_u64("ARENA_BENCH_ROUNDS", 3).max(1) as usize;
     let seed = env_u64("ARENA_BENCH_SEED", 2017);
     let out_path = std::env::var("ARENA_BENCH_OUT").unwrap_or_else(|_| "BENCH_defense.json".into());

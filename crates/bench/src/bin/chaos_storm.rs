@@ -46,7 +46,10 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 fn main() {
-    cr_bench::banner("chaos storm — smoke campaign under every built-in fault plan");
+    print!(
+        "{}",
+        cr_core::report::banner("chaos storm — smoke campaign under every built-in fault plan")
+    );
     let jobs = env_usize("CHAOS_JOBS", 8);
     let spec = CampaignSpec::smoke(2017);
 

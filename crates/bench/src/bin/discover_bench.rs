@@ -81,7 +81,10 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (u64, Vec<T>) {
 }
 
 fn main() {
-    cr_bench::banner("discover bench — the Table-I pipeline per server");
+    print!(
+        "{}",
+        cr_core::report::banner("discover bench — the Table-I pipeline per server")
+    );
     let mut rows = Vec::new();
     let mut deterministic = true;
     for target in cr_targets::all_servers() {

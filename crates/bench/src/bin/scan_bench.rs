@@ -74,7 +74,10 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 fn main() {
-    cr_bench::banner("scan bench — traceless static discovery vs the taint observer");
+    print!(
+        "{}",
+        cr_core::report::banner("scan bench — traceless static discovery vs the taint observer")
+    );
     let rounds = env_usize("SCAN_BENCH_ROUNDS", 3).max(1);
     let out_path = std::env::var("SCAN_BENCH_OUT").unwrap_or_else(|_| "BENCH_static.json".into());
 

@@ -211,7 +211,10 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 const SPEC: &str = r#"{"name":"serve-load","seed":2017,"tasks":[{"SehAnalysis":"xmllite"},{"SehAnalysis":"jscript9"}]}"#;
 
 fn main() {
-    cr_bench::banner("serve load — cold vs warm latency, concurrent client throughput");
+    print!(
+        "{}",
+        cr_core::report::banner("serve load — cold vs warm latency, concurrent client throughput")
+    );
     let clients = env_usize("SERVE_LOAD_CLIENTS", 8);
     let requests_per_client = env_usize("SERVE_LOAD_REQUESTS", 4);
     let out_path = std::env::var("SERVE_LOAD_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());

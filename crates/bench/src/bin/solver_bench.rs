@@ -204,7 +204,12 @@ fn same_verdict(a: &SatResult, b: &SatResult) -> bool {
 }
 
 fn main() {
-    cr_bench::banner("solver bench — interned arena + watched DPLL + query memo vs reference");
+    print!(
+        "{}",
+        cr_core::report::banner(
+            "solver bench — interned arena + watched DPLL + query memo vs reference"
+        )
+    );
     let queries = env_usize("SOLVER_BENCH_QUERIES", 400);
     let rounds = env_usize("SOLVER_BENCH_ROUNDS", 3).max(1);
     let out_path = std::env::var("SOLVER_BENCH_OUT").unwrap_or_else(|_| "BENCH_solver.json".into());

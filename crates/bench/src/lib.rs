@@ -1,20 +1,16 @@
 //! # cr-bench — experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §4):
+//! [`paper::ARTIFACTS`] renders every paper artifact (E1–E12 and the
+//! ablations, DESIGN.md §4–§5); the `paper` binary prints them:
 //!
-//! | binary        | regenerates                                   |
-//! |---------------|-----------------------------------------------|
-//! | `table1`      | Table I — syscall candidates × five servers   |
-//! | `table2`      | Table II — guarded locations per DLL          |
-//! | `table3`      | Table III — filters before/after symex        |
-//! | `api_funnel`  | §V-B — the Windows API funnel                 |
-//! | `poc_exploits`| §VI — the four proof-of-concept oracles       |
-//! | `fault_rates` | §VII-C — fault-rate workloads + defenses      |
-//! | `ablations`   | DESIGN.md §5 — design-choice ablations        |
+//! ```sh
+//! cargo run --release -p cr-bench --bin paper          # every artifact
+//! cargo run --release -p cr-bench --bin paper -- E3    # Table III only
+//! ```
 //!
-//! Criterion performance benches live in `benches/perf.rs`.
+//! Each artifact is pinned byte for byte under `scripts/golden/paper/`.
+//! The other binaries are performance benches that write the committed
+//! `BENCH_*.json` files (`discover_bench`, `solver_bench`, `scan_bench`,
+//! `arena_bench`, `serve_load`) and the `chaos_storm` fault sweep.
 
-/// Shared banner printing for the experiment binaries.
-pub fn banner(title: &str) {
-    print!("{}", cr_core::report::banner(title));
-}
+pub mod paper;

@@ -646,7 +646,7 @@ fn run_funnel(corpus_size: usize, seed: u64) -> TaskResult {
 
 /// Per-oracle §VI scenario: secret region (address, length) and the
 /// probe window (start, end, stride) swept for it — the same shapes
-/// the `poc_exploits` bench uses.
+/// artifact E5 (`paper E5`) uses.
 fn poc_scenario(oracle: &str) -> (u64, u64, u64, u64, u64) {
     match oracle {
         "ie" => (

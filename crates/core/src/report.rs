@@ -60,7 +60,7 @@ pub fn banner(title: &str) -> String {
     format!("{rule}\n{title}\n{rule}\n")
 }
 
-/// The `table1` binary's whole output for `reports`: the banner, Table I
+/// The head of artifact E1 (`paper E1`) for `reports`: the banner, Table I
 /// and every usable primitive with its source cells.
 pub fn render_table1_artifact(reports: &[ServerReport]) -> String {
     let mut out = banner("Table I — syscall probing candidates (Linux servers)");
