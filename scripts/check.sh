@@ -30,14 +30,35 @@ run cargo clippy --workspace --all-targets "${CARGO_FLAGS[@]+"${CARGO_FLAGS[@]}"
 run cargo build --release "${CARGO_FLAGS[@]+"${CARGO_FLAGS[@]}"}"
 run cargo test -q "${CARGO_FLAGS[@]+"${CARGO_FLAGS[@]}"}"
 
+# paper-smoke: the release build must print every paper artifact
+# byte for byte as pinned. Tier-1 `cargo test` diffs the debug build
+# only, and overflow checks differ between the two, so the release
+# `paper` output is split at its `$ paper <id>` headers and each block
+# diffed against scripts/golden/paper/<name>.txt (`paper --help` lists
+# the id/name pairs).
+echo "[check] paper-smoke (release paper artifacts vs their goldens)"
+smoke_tmp="$(mktemp -d)"
+trap 'rm -rf "$smoke_tmp"' EXIT
+target/release/paper > "$smoke_tmp/paper.txt"
+target/release/paper --help | sed -n 's/^  \(E[0-9]*\|ablations\) *\([a-z0-9_]*\)$/\1 \2/p' \
+  > "$smoke_tmp/paper_ids.txt"
+[ "$(wc -l < "$smoke_tmp/paper_ids.txt")" -eq "$(ls scripts/golden/paper | wc -l)" ] \
+  || { echo "[check] paper --help does not list one artifact per golden" >&2; exit 1; }
+while read -r id name; do
+  awk -v header="\$ paper $id" '$0 == header { on = 1; next } /^\$ paper / { on = 0 } on' \
+    "$smoke_tmp/paper.txt" > "$smoke_tmp/paper_$name.txt"
+  if ! diff -u "scripts/golden/paper/$name.txt" "$smoke_tmp/paper_$name.txt"; then
+    echo "[check] release \`paper $id\` diverged from scripts/golden/paper/$name.txt" >&2
+    exit 1
+  fi
+done < "$smoke_tmp/paper_ids.txt"
+
 # chaos-smoke: the smoke campaign under the mayhem fault plan must exit
 # cleanly with exactly the golden per-class error accounting. The
 # summary is deterministic by construction (fixed seed, worker-count
 # independent), so a plain byte diff is the whole check. The same run
 # captures a trace for the trace-smoke step below.
 echo "[check] chaos-smoke (mayhem plan, fixed seed)"
-smoke_tmp="$(mktemp -d)"
-trap 'rm -rf "$smoke_tmp"' EXIT
 target/release/crash-resist chaos --plan mayhem --jobs 2 --summary-json \
   --trace "$smoke_tmp/trace.jsonl" 2>/dev/null > "$smoke_tmp/chaos.json"
 if ! diff -u scripts/golden/chaos_smoke.json "$smoke_tmp/chaos.json"; then

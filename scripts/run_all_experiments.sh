@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# Regenerate every paper artifact (EXPERIMENTS.md §E1–E12) in one go.
+# Regenerate every paper artifact (EXPERIMENTS.md §E1–E12 and the
+# ablations) in one go: `paper` prints them all, each under a
+# `$ paper <id>` header, byte for byte as pinned in scripts/golden/paper/.
 # Usage: scripts/run_all_experiments.sh [output-dir]
 set -euo pipefail
 out="${1:-experiment-results}"
 mkdir -p "$out"
-bins=(table1 table2 table3 api_funnel seh_totals poc_exploits fault_rates prior_work probe_cost stealth_compare ablations)
-for b in "${bins[@]}"; do
-    echo "[run_all] $b"
-    cargo run --release -p cr-bench --bin "$b" >"$out/$b.txt" 2>"$out/$b.log"
-done
+echo "[run_all] paper"
+cargo run --release -p cr-bench --bin paper >"$out/paper.txt" 2>"$out/paper.log"
 # arena_bench asserts the §VII-C headline invariants in-binary and
 # writes its JSON artifact, BENCH_defense.json, next to the other
 # BENCH_* files at the repository root.
