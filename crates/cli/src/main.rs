@@ -1,28 +1,15 @@
 //! `crash-resist` — command-line front end for the discovery framework.
 //!
-//! ```text
-//! crash-resist discover <server>       Table-I pipeline on one server
-//! crash-resist analyze <dll>           SEH analysis of a system DLL
-//! crash-resist explore <dll>           per-path filter exploration report
-//! crash-resist cfg <server>            static CFG + syscall sites
-//! crash-resist scan <module>           traceless syscall-site scan + temporal tags
-//! crash-resist funnel [corpus-size]    §V-B Windows API funnel
-//! crash-resist poc <oracle> <addr>     probe one address via a §VI oracle
-//! crash-resist campaign [options]      sharded multi-task campaign
-//! crash-resist arena [options]         probing strategies × detectors matrix
-//! crash-resist chaos [options]         campaign under an injected fault plan
-//! crash-resist serve [options]         long-lived analysis server (framed TCP)
-//! crash-resist fleet [options]         supervised multi-worker serve fleet
-//! crash-resist client [options]        send campaign requests to a server
-//! crash-resist report <trace>...       render stage latencies from trace files
-//! crash-resist list                    available targets
-//! ```
+//! Every verb, its operands and its flags are declared once, in
+//! [`VERBS`]: [`parse`] applies a verb's row to the command line, and
+//! the same rows print `crash-resist help` and `crash-resist <verb>
+//! --help`.
 //!
 //! All machine-readable output (`--json`, `--summary-json`) is framed
 //! in the versioned [`cr_campaign::Report`] envelope
 //! (`{"schema_version":1,"kind":…,"results":…,"metrics":…}`), and
-//! `campaign`/`chaos` accept `--trace FILE` to capture a structured
-//! execution trace (`report` renders it).
+//! `campaign`/`arena`/`chaos` accept `--trace FILE` to capture a
+//! structured execution trace (`report` renders it).
 //!
 //! Exit codes: `0` success, `1` runtime failure (e.g. a campaign task
 //! kept panicking, or a chaos invariant broke), `2` usage error, `3`
@@ -40,8 +27,12 @@ use cr_core::static_cfg;
 use cr_core::syscall_finder::discover_server;
 use cr_exploits::{MemoryOracle, ProbeResult};
 use cr_image::FilterRef;
-use cr_symex::{FilterExplorer, FilterVerdict};
+use cr_symex::{ExplorationReport, FilterExplorer, FilterVerdict};
+use serde::Serialize;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Success.
 const EXIT_OK: i32 = 0;
@@ -55,157 +46,365 @@ const EXIT_UNKNOWN_TARGET: i32 = 3;
 /// task has no result: coverage is partial.
 const EXIT_DEGRADED: i32 = 4;
 
+/// What a verb returns: `Ok` with its exit code, or `Err` with the exit
+/// code of an error it has already reported on stderr.
+type Outcome = Result<i32, i32>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `<verb> --help` (or `-h`) anywhere after a known verb asks for help.
-    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     let code = match args.first().map(String::as_str) {
         None | Some("help" | "-h" | "--help") => {
-            print!("{}", HELP);
+            print!("{}", help());
             EXIT_OK
         }
-        Some(verb) if wants_help && VERBS.contains(&verb) => {
-            print!("{}", HELP);
-            EXIT_OK
-        }
-        Some("discover") => cmd_discover(args.get(1).map(String::as_str)),
-        Some("analyze") => cmd_analyze(args.get(1).map(String::as_str)),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("cfg") => cmd_cfg(args.get(1).map(String::as_str)),
-        Some("scan") => cmd_scan(&args[1..]),
-        Some("funnel") => cmd_funnel(args.get(1).map(String::as_str)),
-        Some("poc") => cmd_poc(
-            args.get(1).map(String::as_str),
-            args.get(2).map(String::as_str),
-        ),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("arena") => cmd_arena(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("list") => cmd_list(&args[1..]),
-        Some(other) => {
-            eprintln!(
-                "unknown command {other:?} (expected one of: {})",
-                VERBS.join(" ")
-            );
-            eprint!("{}", HELP);
-            EXIT_USAGE
-        }
+        Some(name) => match VERBS.iter().find(|v| v.name == name) {
+            // `<verb> --help` (or `-h`) anywhere after the verb asks for help.
+            Some(verb) if args[1..].iter().any(|a| a == "--help" || a == "-h") => {
+                print!("{}", verb.help());
+                EXIT_OK
+            }
+            Some(verb) => parse(verb, &args[1..])
+                .and_then(|a| (verb.run)(&a))
+                .unwrap_or_else(|code| code),
+            None => {
+                let names: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+                eprintln!(
+                    "unknown command {name:?} (expected one of: {})",
+                    names.join(" ")
+                );
+                eprint!("{}", help());
+                EXIT_USAGE
+            }
+        },
     };
     std::process::exit(code);
 }
 
-/// Every verb `main` dispatches on; `help` must mention each (the
-/// `help_lists_every_verb` test pins this) and the unknown-command
-/// path lists them.
-const VERBS: [&str; 15] = [
-    "discover", "analyze", "explore", "cfg", "scan", "funnel", "poc", "campaign", "arena", "chaos",
-    "serve", "fleet", "client", "report", "list",
+/// One flag of a verb. A flag with an empty `metavar` is a switch; any
+/// other flag takes the next argument as its value.
+struct Flag {
+    name: &'static str,
+    metavar: &'static str,
+    /// The value when the flag is absent; empty for none.
+    default: &'static str,
+    help: &'static str,
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    value(name, "", "", help)
+}
+
+const fn value(
+    name: &'static str,
+    metavar: &'static str,
+    default: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        metavar,
+        default,
+        help,
+    }
+}
+
+/// One verb: its operands, its flags and the function that runs it.
+struct Verb {
+    name: &'static str,
+    /// `(operand, help)`: `<x>` is required, `[x]` optional, and a
+    /// trailing `...` takes any number more.
+    operands: &'static [(&'static str, &'static str)],
+    about: &'static str,
+    /// Flag groups; verbs share the groups they have in common.
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Outcome,
+}
+
+const JSON: Flag = switch("--json", "emit the report as a versioned JSON envelope");
+#[rustfmt::skip]
+const SEED: Flag =
+    value("--seed", "S", "", "RNG and fault-plan seed (default $CR_SEED, else 2017)");
+#[rustfmt::skip]
+const SPEC: Flag = value("--spec", "FILE", "", "JSON campaign spec (default: the built-in one)");
+
+/// The campaign engine flags of every verb that runs campaigns itself.
+#[rustfmt::skip]
+const ENGINE: &[Flag] = &[
+    value("--jobs", "N", "1", "campaign worker threads"),
+    value("--retries", "R", "1", "extra attempts for a failing task"),
+    value("--deadline-ms", "D", "200", "per-attempt virtual-time deadline, 0 for none"),
+    value("--cache", "DIR", "", "load the analysis cache from DIR and save it there"),
 ];
 
-const HELP: &str = "\
-crash-resist — discovery of crash-resistant primitives (DSN'17 reproduction)
+/// `campaign`, `arena` and `chaos` share these besides [`ENGINE`].
+#[rustfmt::skip]
+const CAMPAIGN: &[Flag] = &[
+    SPEC,
+    SEED,
+    value("--trace", "FILE", "", "write a structured execution trace (JSONL) here"),
+];
 
-USAGE:
-    crash-resist discover <server>       run the Table-I pipeline on one server
-    crash-resist analyze <dll>           SEH analysis of a calibrated system DLL
-    crash-resist explore <dll>           per-path filter exploration (see EXPLORE OPTIONS)
-    crash-resist cfg <server>            static CFG recovery + syscall sites
-    crash-resist scan <module>           traceless syscall-site scan (see SCAN OPTIONS)
-    crash-resist funnel [corpus-size]    run the §V-B Windows API funnel
-    crash-resist poc <oracle> <hexaddr>  probe an address with a §VI oracle
-    crash-resist campaign [options]      run a sharded discovery campaign
-    crash-resist arena [options]         probing strategies vs the detector roster
-    crash-resist chaos [options]         run a campaign under a fault plan
-    crash-resist serve [options]         run the long-lived analysis server
-    crash-resist fleet [options]         run a supervised serve fleet + invariant suite
-    crash-resist client [options]        send campaign requests to a server
-    crash-resist report <trace>...       per-stage latencies + timeline from traces
-    crash-resist list [--json]           list available servers/DLLs/oracles
-    crash-resist <command> --help        print this help (also -h)
+/// Every verb, in `help` order.
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    Verb { name: "discover", about: "run the Table-I pipeline on one server", run: cmd_discover,
+        operands: &[("<server>", "a server target (see `list`)")], flags: &[] },
+    Verb { name: "analyze", about: "SEH analysis of a calibrated system DLL", run: cmd_analyze,
+        operands: &[("<dll>", "a calibrated system DLL (see `list`)")], flags: &[] },
+    Verb { name: "explore", about: "per-path exploration of every __except filter",
+        run: cmd_explore,
+        operands: &[("<dll>", "a calibrated DLL name or the loopy family (see `list`)")],
+        flags: &[&[
+            switch("--independent", "re-blast every path instead of incremental solving"),
+            JSON,
+        ]] },
+    Verb { name: "cfg", about: "static CFG recovery + syscall sites", run: cmd_cfg,
+        operands: &[("<server>", "a server target (see `list`)")], flags: &[] },
+    Verb { name: "scan", about: "traceless syscall-site scan (one module, or --all)",
+        run: cmd_scan,
+        operands: &[("[module]", "a server target or corpus module (see `list`)")],
+        flags: &[&[
+            switch("--all", "scan every server and corpus module instead of one"),
+            switch("--cross-validate", "also run the taint observer (servers only)"),
+            JSON,
+        ]] },
+    Verb { name: "funnel", about: "run the §V-B Windows API funnel", run: cmd_funnel,
+        operands: &[("[corpus-size]", "functions in the API corpus (default 2000)")], flags: &[] },
+    Verb { name: "poc", about: "probe an address with a §VI oracle", run: cmd_poc,
+        operands: &[("<oracle>", "ie, firefox or nginx"), ("<hexaddr>", "the address to probe")],
+        flags: &[] },
+    Verb { name: "campaign", about: "run a sharded discovery campaign", run: cmd_campaign,
+        operands: &[], flags: &[ENGINE, CAMPAIGN, &[JSON]] },
+    Verb { name: "arena", about: "probing strategies vs the detector roster", run: cmd_arena,
+        operands: &[], flags: &[ENGINE, CAMPAIGN, &[JSON]] },
+    Verb { name: "chaos", about: "run a campaign under a fault plan + invariant checks",
+        run: cmd_chaos, operands: &[], flags: &[ENGINE, CAMPAIGN, &[
+            value("--plan", "NAME", "mayhem", "built-in fault plan (see `list`)"),
+            switch("--json", "emit the cold run's full report as JSON"),
+            switch("--summary-json", "emit a compact machine-checkable summary as JSON"),
+        ]] },
+    Verb { name: "serve", about: "run the long-lived analysis server", run: cmd_serve,
+        operands: &[], flags: &[ENGINE, &[
+            value("--addr", "A", "127.0.0.1:0", "bind address; port 0 picks a free one"),
+            value("--request-deadline-ms", "D", "0", "wall-clock deadline per request, 0 for none"),
+            value("--capacity", "N", "8", "admission queue depth; beyond it requests get Busy"),
+            value("--plan", "NAME", "", "arm a fault plan on the serve sites (try: wire)"),
+            SEED,
+            switch("--stats-json", "on shutdown, emit lifetime stats as a JSON envelope"),
+        ]] },
+    Verb { name: "fleet", about: "run a supervised serve fleet + invariant suite", run: cmd_fleet,
+        operands: &[], flags: &[&[
+            value("--workers", "N", "3", "serve workers behind the router"),
+            value("--requests", "N", "4", "distinct campaign requests to drive through"),
+            value("--plan", "NAME", "", "arm a fault plan on the fleet sites (try: fleet)"),
+            SEED,
+            value("--kill-request", "K", "", "kill the serving worker mid-request at admission K"),
+            switch("--rolling-restart", "rotate every worker under load, then re-verify"),
+            switch("--summary-json", "emit the invariant verdict + stats as a JSON envelope"),
+        ]] },
+    Verb { name: "client", about: "send campaign requests to a server", run: cmd_client,
+        operands: &[], flags: &[&[
+            value("--addr", "A", "", "server address (required)"),
+            SPEC,
+            SEED,
+            value("--jobs", "N", "", "ask the server to run this request on N workers"),
+            value("--retries", "R", "", "per-task retry count for this request"),
+            value("--deadline-ms", "D", "", "wall-clock deadline for this request, server-side"),
+            value("--repeat", "N", "1", "send the request N times over one connection"),
+            value("--busy-retries", "N", "3", "retry a Busy rejection up to N times"),
+            switch("--json", "print the final deterministic result document"),
+            switch("--stats", "print each request's Done payload (advisory stats)"),
+            switch("--shutdown", "then stop the server; with no flag but --addr, send no request"),
+        ]] },
+    Verb { name: "report", about: "per-stage latencies + timeline from traces", run: cmd_report,
+        operands: &[("<trace>...", "trace files written by --trace")], flags: &[&[JSON]] },
+    Verb { name: "list", about: "list available servers/DLLs/oracles/fault plans", run: cmd_list,
+        operands: &[], flags: &[&[JSON]] },
+];
 
-EXPLORE OPTIONS:
-    <dll>           a calibrated DLL name or the loopy family (see `list`)
-    --independent   re-blast every path from scratch instead of incremental
-                    push/pop solving (differential reference mode)
-    --json          emit per-filter path verdicts as a versioned JSON envelope
+impl Verb {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().copied().flatten()
+    }
 
-SCAN OPTIONS:
-    <module>        a server target or corpus module name (see `list`)
-    --all           scan every server and corpus module instead of one
-    --cross-validate  also run the taint observer and report site agreement
-                      (servers only — corpus modules have no harness)
-    --json          emit the scan report(s) as a versioned JSON envelope
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags().find(|f| f.name == name)
+    }
 
-CAMPAIGN OPTIONS:
-    --spec FILE     JSON campaign spec (default: the built-in full campaign)
-    --jobs N        worker threads (default 1)
-    --cache DIR     persist the content-addressed analysis cache here
-    --seed S        RNG seed for rand-driven workloads (default 2017)
-    --retries R     extra attempts for a failing task (default 1)
-    --deadline-ms D per-attempt virtual-time deadline (default 200)
-    --trace FILE    write a structured execution trace (JSONL) here
-    --json          emit the full report as JSON instead of a summary
+    /// `crash-resist <verb> <operands> [options]`.
+    fn usage(&self) -> String {
+        let operands: String = self.operands.iter().map(|(o, _)| format!(" {o}")).collect();
+        let options = (!self.flags.is_empty()).then_some(" [options]");
+        let options = options.unwrap_or_default();
+        format!("crash-resist {}{operands}{options}", self.name)
+    }
 
-ARENA OPTIONS (campaign options above; the default spec is the full
-    4-strategy matrix — linear, bisect, stealth, burst — each judged by
-    the rate threshold, windowed CUSUM, and syscall-filter detectors):
-    --json          emit the matrix + headline invariants as a versioned
-                    JSON envelope (deterministic: byte-identical at any
-                    --jobs count, so it diffs against a golden)
+    fn help(&self) -> String {
+        let mut out = format!("USAGE:\n    {}\n    {}\n", self.usage(), self.about);
+        if !self.operands.is_empty() {
+            out += "\nOPERANDS:\n";
+            for (operand, help) in self.operands {
+                let _ = writeln!(out, "    {operand:<24} {help}");
+            }
+        }
+        out += "\nOPTIONS:\n";
+        for f in self.flags() {
+            let default = match f.default {
+                "" => String::new(),
+                d => format!(" (default {d})"),
+            };
+            let left = format!("{} {}", f.name, f.metavar);
+            let _ = writeln!(out, "    {:<24} {}{default}", left.trim_end(), f.help);
+        }
+        let _ = writeln!(out, "    {:<24} print this help", "-h, --help");
+        out
+    }
+}
 
-CHAOS OPTIONS (campaign options above, plus):
-    --plan NAME     built-in fault plan (default mayhem; see `list`)
-    --summary-json  emit a compact machine-checkable summary as JSON
-
-SERVE OPTIONS:
-    --addr A        bind address (default 127.0.0.1:0 — ephemeral port)
-    --jobs N        campaign worker threads per request (default 1)
-    --retries R     extra attempts for a failing task (default 1)
-    --deadline-ms D per-attempt virtual-time deadline (default 200)
-    --request-deadline-ms D  wall-clock deadline per request (default none)
-    --capacity N    admission queue depth; beyond it requests get Busy (default 8)
-    --cache DIR     load the analysis cache at start, persist it on drain
-    --plan NAME     arm a fault plan on the serve sites (try: wire)
-    --seed S        fault plan seed (default 2017)
-    --stats-json    on shutdown, emit lifetime stats as a JSON envelope
-
-FLEET OPTIONS:
-    --workers N     serve workers behind the router (default 3)
-    --requests N    distinct campaign requests to drive through (default 4)
-    --plan NAME     arm a fault plan on the fleet sites (try: fleet)
-    --seed S        fault plan seed (default 2017)
-    --kill-request K  kill the serving worker mid-request at admission K
-    --rolling-restart  rotate every worker under load, then re-verify
-    --summary-json  emit the invariant verdict + stats as a JSON envelope
-
-CLIENT OPTIONS:
-    --addr A        server address (required)
-    --spec FILE     campaign spec JSON (default: the built-in smoke spec)
-    --seed S        override the spec seed
-    --jobs N        ask the server to run this request on N workers
-    --retries R     per-task retry count for this request
-    --deadline-ms D wall-clock deadline for this request, server-side
-    --repeat N      send the request N times over one connection (default 1)
-    --busy-retries N  retry a Busy rejection up to N times (default 3)
-    --json          print the final deterministic result document
-    --stats         print each request's Done payload (advisory stats)
-    --shutdown      ask the server to drain and exit (alone: no request)
-
-REPORT OPTIONS:
-    --json          emit the stage statistics as JSON instead of tables
-
+/// The top-level help: one usage line per verb, from [`VERBS`].
+fn help() -> String {
+    let rows: Vec<(String, &str)> = VERBS
+        .iter()
+        .map(|v| (v.usage(), v.about))
+        .chain([(
+            "crash-resist <command> --help".into(),
+            "print one command's options (also -h)",
+        )])
+        .collect();
+    let width = rows.iter().map(|(u, _)| u.len()).max().unwrap_or(0);
+    let mut out = String::from(
+        "crash-resist — discovery of crash-resistant primitives (DSN'17 reproduction)\n\nUSAGE:\n",
+    );
+    for (usage, about) in &rows {
+        let _ = writeln!(out, "    {usage:<width$}  {about}");
+    }
+    out + "
 ENVIRONMENT:
     CR_SEED         default seed when --seed is not given
 
 EXIT CODES:
     0 success           1 runtime failure / broken chaos invariant
-    2 usage error       3 unknown target
+    2 usage error       3 unknown target or fault plan
     4 campaign completed but degraded (some tasks have no result)
-";
+"
+}
+
+/// A verb's command line after its row of [`VERBS`] has been applied.
+struct Args {
+    verb: &'static Verb,
+    operands: Vec<String>,
+    /// The flags given, by name; the last occurrence wins and a switch
+    /// maps to the empty string.
+    given: BTreeMap<&'static str, String>,
+}
+
+/// Apply `verb`'s row to `args`: every flag must be in the row and
+/// every flag with a metavar must have a value; the operand count must
+/// fit the row's operands. A usage error is reported here.
+fn parse(verb: &'static Verb, args: &[String]) -> Result<Args, i32> {
+    let mut out = Args {
+        verb,
+        operands: Vec::new(),
+        given: BTreeMap::new(),
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            out.operands.push(arg.clone());
+            continue;
+        }
+        let Some(flag) = verb.flag(arg) else {
+            let msg = format!("unknown {} option {arg:?}", verb.name);
+            return Err(usage_error(verb, &msg));
+        };
+        let value = match flag.metavar {
+            "" => String::new(),
+            _ => match args.next() {
+                Some(v) => v.clone(),
+                None => return Err(usage_error(verb, &format!("{arg} needs a value"))),
+            },
+        };
+        out.given.insert(flag.name, value);
+    }
+    let required = verb
+        .operands
+        .iter()
+        .filter(|(o, _)| o.starts_with('<'))
+        .count();
+    let unbounded = verb.operands.iter().any(|(o, _)| o.ends_with("..."));
+    if out.operands.len() < required {
+        let missing = verb.operands[out.operands.len()].0;
+        return Err(usage_error(verb, &format!("{} needs {missing}", verb.name)));
+    }
+    if !unbounded && out.operands.len() > verb.operands.len() {
+        let extra = &out.operands[verb.operands.len()];
+        let msg = format!("unexpected {} operand {extra:?}", verb.name);
+        return Err(usage_error(verb, &msg));
+    }
+    Ok(out)
+}
+
+fn usage_error(verb: &Verb, msg: &str) -> i32 {
+    eprintln!("{msg}");
+    eprintln!("usage: {}", verb.usage());
+    EXIT_USAGE
+}
+
+/// Report `msg` on stderr and hand back `code`.
+fn fail(code: i32, msg: impl std::fmt::Display) -> i32 {
+    eprintln!("{msg}");
+    code
+}
+
+/// Report that no `what` is called `name`.
+fn unknown(what: &str, name: &str) -> i32 {
+    let msg = format!("unknown {what} {name:?} (try `crash-resist list`)");
+    fail(EXIT_UNKNOWN_TARGET, msg)
+}
+
+impl Args {
+    /// Whether the flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.contains_key(name)
+    }
+
+    /// The value of `name` as given, else its default; `None` for an
+    /// absent flag without a default.
+    fn value(&self, name: &str) -> Option<&str> {
+        let flag = self
+            .verb
+            .flag(name)
+            .expect("verbs read only their own flags");
+        match self.given.get(name) {
+            Some(v) => Some(v),
+            None => Some(flag.default).filter(|d| !d.is_empty()),
+        }
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// The value of `name` as a number, if it has one; a malformed one
+    /// is a usage error.
+    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, i32> {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
+        let msg = format!("bad {name} value {v:?} (want a non-negative integer)");
+        v.parse().map(Some).map_err(|_| fail(EXIT_USAGE, msg))
+    }
+
+    /// The value of `name`, a numeric flag with a default.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, i32> {
+        Ok(self.opt_num(name)?.expect("numeric flag has a default"))
+    }
+
+    /// A deadline in milliseconds, where 0 means none.
+    fn deadline(&self, name: &str) -> Result<Option<u64>, i32> {
+        Ok(self.opt_num(name)?.filter(|&d| d != 0))
+    }
+}
 
 /// Seed precedence: explicit flag, then `CR_SEED`, then the default.
 fn effective_seed(flag: Option<u64>) -> u64 {
@@ -213,90 +412,155 @@ fn effective_seed(flag: Option<u64>) -> u64 {
         .unwrap_or(cr_campaign::DEFAULT_SEED)
 }
 
-fn cmd_list(args: &[String]) -> i32 {
-    let json = match args {
-        [] => false,
-        [flag] if flag == "--json" => true,
-        _ => {
-            eprintln!("usage: crash-resist list [--json]");
-            return EXIT_USAGE;
-        }
+/// The built-in fault plan `name`, reseeded with `seed`.
+fn fault_plan(name: &str, seed: u64) -> Result<FaultPlan, i32> {
+    let Some(plan) = FaultPlan::builtin(name) else {
+        let have = BUILTIN_PLANS.join(" ");
+        let msg = format!("unknown fault plan {name:?} (have: {have})");
+        return Err(fail(EXIT_UNKNOWN_TARGET, msg));
     };
-    let servers: Vec<&str> = cr_targets::all_servers().iter().map(|t| t.name).collect();
-    let dlls: Vec<&str> = cr_targets::browsers::CALIBRATION
-        .iter()
-        .map(|c| c.name)
-        .collect();
-    let oracles = ["ie", "firefox", "nginx"];
-    if json {
-        use serde::Serialize;
-        let mut results = String::from("{\"servers\":");
-        servers.write_json(&mut results);
-        results.push_str(",\"dlls\":");
-        dlls.write_json(&mut results);
-        results.push_str(",\"oracles\":");
-        oracles.write_json(&mut results);
-        results.push_str(",\"plans\":");
-        BUILTIN_PLANS.write_json(&mut results);
-        results.push('}');
-        println!(
-            "{}",
-            Report::builder(ReportKind::List)
-                .results(results)
-                .build()
-                .to_json()
-        );
-    } else {
-        println!("servers:  {}", servers.join(" "));
-        println!("dlls:     {}", dlls.join(" "));
-        println!("oracles:  {}", oracles.join(" "));
-        println!("plans:    {}", BUILTIN_PLANS.join(" "));
-    }
-    EXIT_OK
+    Ok(plan.with_seed(seed))
 }
 
-fn cmd_discover(name: Option<&str>) -> i32 {
-    let Some(name) = name else {
-        eprintln!("usage: crash-resist discover <server>");
-        return EXIT_USAGE;
+/// An injector for the `--plan` flag, if one was given.
+fn plan_injector(a: &Args, seed: u64) -> Result<Option<Arc<FaultInjector>>, i32> {
+    let plan = a
+        .value("--plan")
+        .map(|name| fault_plan(name, seed))
+        .transpose()?;
+    Ok(plan.map(|p| Arc::new(FaultInjector::new(p))))
+}
+
+/// Resolve the campaign spec: `--spec FILE`, else `fallback`, with an
+/// explicit seed (`--seed` or `CR_SEED`) overriding the spec's own.
+fn resolve_spec(a: &Args, fallback: impl FnOnce(u64) -> CampaignSpec) -> Result<CampaignSpec, i32> {
+    let seed_flag = a.opt_num("--seed")?;
+    let mut spec = match a.path("--spec") {
+        Some(path) => {
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| fail(EXIT_USAGE, format!("cannot read {}: {e}", path.display())))?;
+            CampaignSpec::from_json(&text)
+                .map_err(|e| fail(EXIT_USAGE, format!("bad spec {}: {e}", path.display())))?
+        }
+        None => fallback(effective_seed(seed_flag)),
     };
-    let Some(target) = cr_targets::all_servers()
+    if seed_flag.is_some() || std::env::var("CR_SEED").is_ok() {
+        spec.seed = effective_seed(seed_flag);
+    }
+    Ok(spec)
+}
+
+/// The engine configuration from the [`ENGINE`] flags.
+fn engine_config(a: &Args) -> Result<EngineConfig, i32> {
+    Ok(EngineConfig {
+        jobs: a.num("--jobs")?,
+        retries: a.num("--retries")?,
+        cache_dir: a.path("--cache"),
+        deadline_ms: a.deadline("--deadline-ms")?,
+        ..EngineConfig::default()
+    })
+}
+
+/// Run `f`, collecting a structured trace into `--trace FILE` if given.
+fn traced<T>(a: &Args, f: impl FnOnce() -> T) -> Result<T, i32> {
+    let Some(path) = a.path("--trace") else {
+        return Ok(f());
+    };
+    cr_trace::start();
+    let out = f();
+    let trace = cr_trace::finish();
+    std::fs::write(&path, trace.to_jsonl()).map_err(|e| {
+        fail(
+            EXIT_RUNTIME,
+            format!("cannot write trace {}: {e}", path.display()),
+        )
+    })?;
+    eprintln!(
+        "trace: {} event(s) ({} dropped) -> {}",
+        trace.events.len(),
+        trace.dropped,
+        path.display()
+    );
+    Ok(out)
+}
+
+/// The oracles `poc` can drive.
+const ORACLES: [&str; 3] = ["ie", "firefox", "nginx"];
+
+/// `list --json` results.
+#[derive(Serialize)]
+struct Listing {
+    servers: Vec<&'static str>,
+    dlls: Vec<&'static str>,
+    oracles: &'static [&'static str],
+    plans: &'static [&'static str],
+}
+
+fn cmd_list(a: &Args) -> Outcome {
+    let listing = Listing {
+        servers: cr_targets::all_servers().iter().map(|t| t.name).collect(),
+        dlls: cr_targets::browsers::CALIBRATION
+            .iter()
+            .map(|c| c.name)
+            .collect(),
+        oracles: &ORACLES,
+        plans: &BUILTIN_PLANS,
+    };
+    if a.has("--json") {
+        let report = Report::builder(ReportKind::List)
+            .results_of(&listing)
+            .build();
+        println!("{}", report.to_json());
+    } else {
+        println!("servers:  {}", listing.servers.join(" "));
+        println!("dlls:     {}", listing.dlls.join(" "));
+        println!("oracles:  {}", listing.oracles.join(" "));
+        println!("plans:    {}", listing.plans.join(" "));
+    }
+    Ok(EXIT_OK)
+}
+
+/// The server target called `name`.
+fn server(name: &str) -> Result<cr_targets::ServerTarget, i32> {
+    cr_targets::all_servers()
         .into_iter()
         .find(|t| t.name == name)
-    else {
-        eprintln!("unknown server {name:?} (try `crash-resist list`)");
-        return EXIT_UNKNOWN_TARGET;
-    };
-    eprintln!("discovering crash-resistant primitives in {name} ...");
-    print!("{}", render_findings(&discover_server(&target)));
-    EXIT_OK
+        .ok_or_else(|| unknown("server", name))
 }
 
-fn cmd_analyze(name: Option<&str>) -> i32 {
-    let Some(name) = name else {
-        eprintln!("usage: crash-resist analyze <dll>");
-        return EXIT_USAGE;
-    };
-    let Some((i, c)) = cr_targets::browsers::CALIBRATION
+/// The calibrated system DLL called `name`, generated.
+fn calibrated_dll(name: &str) -> Option<cr_image::PeImage> {
+    let calibration = cr_targets::browsers::CALIBRATION;
+    let (i, c) = calibration
         .iter()
         .enumerate()
-        .find(|(_, c)| c.name == name)
-    else {
-        eprintln!("unknown dll {name:?} (try `crash-resist list`)");
-        return EXIT_UNKNOWN_TARGET;
-    };
-    let img =
-        cr_targets::browsers::generate_dll(&cr_targets::browsers::DllSpec::from_calib_x64(c, i));
-    let a = analyze_module(&img);
+        .find(|(_, c)| c.name == name)?;
+    Some(cr_targets::browsers::generate_dll(
+        &cr_targets::browsers::DllSpec::from_calib_x64(c, i),
+    ))
+}
+
+fn cmd_discover(a: &Args) -> Outcome {
+    let name = &a.operands[0];
+    let target = server(name)?;
+    eprintln!("discovering crash-resistant primitives in {name} ...");
+    print!("{}", render_findings(&discover_server(&target)));
+    Ok(EXIT_OK)
+}
+
+fn cmd_analyze(a: &Args) -> Outcome {
+    let name = &a.operands[0];
+    let img = calibrated_dll(name).ok_or_else(|| unknown("dll", name))?;
+    let m = analyze_module(&img);
     println!(
         "{}: {} guarded functions, {} AV-capable after symbolic execution",
-        a.module, a.guarded_before, a.guarded_after
+        m.module, m.guarded_before, m.guarded_after
     );
     println!(
         "filters: {} unique, {} survive, {} undecided",
-        a.filters_before, a.filters_after, a.filters_undecided
+        m.filters_before, m.filters_after, m.filters_undecided
     );
-    for f in a.functions.iter().filter(|f| f.survives()).take(10) {
+    for f in m.functions.iter().filter(|f| f.survives()).take(10) {
         for s in f.scopes.iter().filter(|s| s.class.survives()) {
             let why = match &s.class {
                 FilterClass::CatchAll => "catch-all".to_string(),
@@ -310,7 +574,79 @@ fn cmd_analyze(name: Option<&str>) -> i32 {
             println!("  candidate {:#x}..{:#x}  {}", s.begin_va, s.end_va, why);
         }
     }
-    EXIT_OK
+    Ok(EXIT_OK)
+}
+
+fn verdict_word(v: &FilterVerdict) -> &'static str {
+    match v {
+        FilterVerdict::AcceptsAccessViolation { .. } => "accepts-av",
+        FilterVerdict::RejectsAccessViolation => "rejects-av",
+        FilterVerdict::Unknown(_) => "undecided",
+    }
+}
+
+/// One filter of `explore --json`.
+struct FilterRow {
+    filter: String,
+    report: ExplorationReport,
+}
+
+/// Written by hand: only an accepting verdict carries a `witness` and
+/// only an undecided one a `reason`.
+impl Serialize for FilterRow {
+    fn write_json(&self, out: &mut String) {
+        let r = &self.report;
+        out.push_str("{\"filter\":");
+        self.filter.write_json(out);
+        out.push_str(",\"verdict\":");
+        verdict_word(&r.verdict).write_json(out);
+        let note = match &r.verdict {
+            FilterVerdict::AcceptsAccessViolation { witness_code } => {
+                Some(("witness", format!("{witness_code:#x}")))
+            }
+            FilterVerdict::Unknown(reason) => Some(("reason", reason.to_string())),
+            FilterVerdict::RejectsAccessViolation => None,
+        };
+        if let Some((key, note)) = note {
+            out.push_str(&format!(",\"{key}\":"));
+            note.write_json(out);
+        }
+        for (key, n) in [
+            ("paths", r.paths.len()),
+            ("completed", r.completed_paths),
+            ("aborted", r.aborted_paths.len()),
+            ("pruned", r.pruned_branches),
+            ("steps", r.steps),
+        ] {
+            out.push_str(&format!(",\"{key}\":{n}"));
+        }
+        out.push('}');
+    }
+}
+
+/// `explore --json` results.
+#[derive(Serialize)]
+struct Exploration {
+    module: String,
+    mode: &'static str,
+    filters: Vec<FilterRow>,
+    summary: VerdictCounts,
+}
+
+#[derive(Serialize)]
+struct VerdictCounts {
+    accepts: usize,
+    rejects: usize,
+    undecided: usize,
+}
+
+/// `explore --json` metrics: their values depend on memo state shared
+/// with whatever else ran in this process.
+#[derive(Serialize)]
+struct SolverCounters {
+    solver_calls: u64,
+    memo_lookups: u64,
+    memo_hits: u64,
 }
 
 /// `crash-resist explore`: run the path-enumerating [`FilterExplorer`]
@@ -319,38 +655,15 @@ fn cmd_analyze(name: Option<&str>) -> i32 {
 /// the one-blast-per-path differential reference mode; `--json` frames
 /// the deterministic per-filter records in a [`ReportKind::Explore`]
 /// envelope with the aggregated solver counters as `metrics`.
-fn cmd_explore(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut independent = false;
-    let mut name: Option<&str> = None;
-    let usage = "usage: crash-resist explore <dll> [--independent] [--json]";
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--independent" => independent = true,
-            s if !s.starts_with('-') && name.is_none() => name = Some(s),
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                eprintln!("{usage}");
-                return EXIT_USAGE;
-            }
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("{usage}");
-        return EXIT_USAGE;
-    };
-    let image = if name == "loopy" {
-        cr_targets::browsers::generate_loopy_dll()
-    } else if let Some((i, c)) = cr_targets::browsers::CALIBRATION
-        .iter()
-        .enumerate()
-        .find(|(_, c)| c.name == name)
-    {
-        cr_targets::browsers::generate_dll(&cr_targets::browsers::DllSpec::from_calib_x64(c, i))
-    } else {
-        eprintln!("unknown dll {name:?} (try `crash-resist list`, or \"loopy\")");
-        return EXIT_UNKNOWN_TARGET;
+fn cmd_explore(a: &Args) -> Outcome {
+    let name = &a.operands[0];
+    let independent = a.has("--independent");
+    let image = match name.as_str() {
+        "loopy" => cr_targets::browsers::generate_loopy_dll(),
+        _ => calibrated_dll(name).ok_or_else(|| {
+            let msg = format!("unknown dll {name:?} (try `crash-resist list`, or \"loopy\")");
+            fail(EXIT_UNKNOWN_TARGET, msg)
+        })?,
     };
 
     let base = image.image_base;
@@ -369,122 +682,63 @@ fn cmd_explore(args: &[String]) -> i32 {
 
     // Reverse export map gives filters their calibrated names; unnamed
     // filters fall back to their RVA.
-    let labels: std::collections::BTreeMap<u32, &str> = image
+    let labels: BTreeMap<u32, &str> = image
         .exports
         .iter()
         .map(|(n, &rva)| (rva, n.as_str()))
         .collect();
     let explorer = FilterExplorer::builder().incremental(!independent).build();
-    let rows: Vec<(String, cr_symex::ExplorationReport)> = filter_rvas
+    let rows: Vec<FilterRow> = filter_rvas
         .iter()
-        .map(|&rva| {
-            let label = labels
+        .map(|&rva| FilterRow {
+            filter: labels
                 .get(&rva)
-                .map_or_else(|| format!("{rva:#x}"), |n| (*n).to_string());
-            (label, explorer.explore(&code, base + rva as u64))
+                .map_or_else(|| format!("{rva:#x}"), |n| (*n).to_string()),
+            report: explorer.explore(&code, base + rva as u64),
         })
         .collect();
-
-    let verdict_word = |v: &FilterVerdict| match v {
-        FilterVerdict::AcceptsAccessViolation { .. } => "accepts-av",
-        FilterVerdict::RejectsAccessViolation => "rejects-av",
-        FilterVerdict::Unknown(_) => "undecided",
+    let mode = if independent {
+        "independent"
+    } else {
+        "incremental"
     };
-    if json {
-        use serde::Serialize;
-        let mut results = String::from("{\"module\":");
-        image.name.write_json(&mut results);
-        results.push_str(",\"mode\":");
-        if independent {
-            "independent"
-        } else {
-            "incremental"
-        }
-        .write_json(&mut results);
-        results.push_str(",\"filters\":[");
-        for (i, (label, r)) in rows.iter().enumerate() {
-            if i > 0 {
-                results.push(',');
-            }
-            results.push_str("{\"filter\":");
-            label.write_json(&mut results);
-            results.push_str(",\"verdict\":");
-            verdict_word(&r.verdict).write_json(&mut results);
-            match &r.verdict {
-                FilterVerdict::AcceptsAccessViolation { witness_code } => {
-                    results.push_str(",\"witness\":");
-                    format!("{witness_code:#x}").write_json(&mut results);
-                }
-                FilterVerdict::Unknown(reason) => {
-                    results.push_str(",\"reason\":");
-                    (*reason).write_json(&mut results);
-                }
-                FilterVerdict::RejectsAccessViolation => {}
-            }
-            results.push_str(",\"paths\":");
-            (r.paths.len() as u64).write_json(&mut results);
-            results.push_str(",\"completed\":");
-            (r.completed_paths as u64).write_json(&mut results);
-            results.push_str(",\"aborted\":");
-            (r.aborted_paths.len() as u64).write_json(&mut results);
-            results.push_str(",\"pruned\":");
-            (r.pruned_branches as u64).write_json(&mut results);
-            results.push_str(",\"steps\":");
-            (r.steps as u64).write_json(&mut results);
-            results.push('}');
-        }
-        results.push_str("],\"summary\":{\"accepts\":");
+
+    if a.has("--json") {
         let count = |w: &str| {
             rows.iter()
-                .filter(|(_, r)| verdict_word(&r.verdict) == w)
-                .count() as u64
+                .filter(|r| verdict_word(&r.report.verdict) == w)
+                .count()
         };
-        count("accepts-av").write_json(&mut results);
-        results.push_str(",\"rejects\":");
-        count("rejects-av").write_json(&mut results);
-        results.push_str(",\"undecided\":");
-        count("undecided").write_json(&mut results);
-        results.push_str("}}");
-        // Solver counters ride in `metrics`: their values depend on
-        // memo state shared with whatever else ran in this process.
-        let mut metrics = String::from("{\"solver_calls\":");
-        rows.iter()
-            .map(|(_, r)| r.solver_calls)
-            .sum::<u64>()
-            .write_json(&mut metrics);
-        metrics.push_str(",\"memo_lookups\":");
-        rows.iter()
-            .map(|(_, r)| r.memo_lookups)
-            .sum::<u64>()
-            .write_json(&mut metrics);
-        metrics.push_str(",\"memo_hits\":");
-        rows.iter()
-            .map(|(_, r)| r.memo_hits)
-            .sum::<u64>()
-            .write_json(&mut metrics);
-        metrics.push('}');
-        println!(
-            "{}",
-            Report::builder(ReportKind::Explore)
-                .results(results)
-                .metrics(metrics)
-                .build()
-                .to_json()
-        );
-        return EXIT_OK;
+        let sum = |f: fn(&ExplorationReport) -> u64| rows.iter().map(|r| f(&r.report)).sum::<u64>();
+        let metrics = SolverCounters {
+            solver_calls: sum(|r| r.solver_calls),
+            memo_lookups: sum(|r| r.memo_lookups),
+            memo_hits: sum(|r| r.memo_hits),
+        };
+        let results = Exploration {
+            module: image.name,
+            mode,
+            summary: VerdictCounts {
+                accepts: count("accepts-av"),
+                rejects: count("rejects-av"),
+                undecided: count("undecided"),
+            },
+            filters: rows,
+        };
+        let report = Report::builder(ReportKind::Explore)
+            .results_of(&results)
+            .metrics_of(&metrics)
+            .build();
+        println!("{}", report.to_json());
+        return Ok(EXIT_OK);
     }
 
     println!(
-        "{}: {} unique filter(s), {} mode",
+        "{}: {} unique filter(s), {mode} mode",
         image.name,
-        rows.len(),
-        if independent {
-            "independent"
-        } else {
-            "incremental"
-        }
+        rows.len()
     );
-    for (label, r) in &rows {
+    for FilterRow { filter, report: r } in &rows {
         let why = match &r.verdict {
             FilterVerdict::AcceptsAccessViolation { witness_code } => {
                 format!("accepts AV (witness {witness_code:#x})")
@@ -493,7 +747,7 @@ fn cmd_explore(args: &[String]) -> i32 {
             FilterVerdict::Unknown(reason) => format!("undecided: {reason}"),
         };
         println!(
-            "  {label:<24} {why}  [{} path(s), {} completed, {} aborted, {} pruned, {} steps]",
+            "  {filter:<24} {why}  [{} path(s), {} completed, {} aborted, {} pruned, {} steps]",
             r.paths.len(),
             r.completed_paths,
             r.aborted_paths.len(),
@@ -501,21 +755,12 @@ fn cmd_explore(args: &[String]) -> i32 {
             r.steps
         );
     }
-    EXIT_OK
+    Ok(EXIT_OK)
 }
 
-fn cmd_cfg(name: Option<&str>) -> i32 {
-    let Some(name) = name else {
-        eprintln!("usage: crash-resist cfg <server>");
-        return EXIT_USAGE;
-    };
-    let Some(target) = cr_targets::all_servers()
-        .into_iter()
-        .find(|t| t.name == name)
-    else {
-        eprintln!("unknown server {name:?} (try `crash-resist list`)");
-        return EXIT_UNKNOWN_TARGET;
-    };
+fn cmd_cfg(a: &Args) -> Outcome {
+    let name = &a.operands[0];
+    let target = server(name)?;
     let seg = &target.image.segments[0];
     let src = (seg.vaddr, seg.data.as_slice());
     let cfg = static_cfg::analyze(&src, &[target.image.entry]);
@@ -528,7 +773,14 @@ fn cmd_cfg(name: Option<&str>) -> i32 {
     for site in cfg.syscall_sites() {
         println!("  syscall @ {site:#x}");
     }
-    EXIT_OK
+    Ok(EXIT_OK)
+}
+
+/// `scan --json` results.
+#[derive(Serialize)]
+struct Scans {
+    scans: Vec<cr_scan::ScanReport>,
+    agreements: Vec<cr_scan::Agreement>,
 }
 
 /// `crash-resist scan`: run the traceless static backend over one
@@ -537,95 +789,60 @@ fn cmd_cfg(name: Option<&str>) -> i32 {
 /// runs the taint observer on server targets and reports site-level
 /// agreement. `--json` frames everything in a [`ReportKind::Scan`]
 /// envelope: `{"scans":[…],"agreements":[…]}`.
-fn cmd_scan(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut xval = false;
-    let mut all = false;
-    let mut module: Option<&str> = None;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--cross-validate" => xval = true,
-            "--all" => all = true,
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown scan option {flag:?}");
-                return EXIT_USAGE;
-            }
-            name if module.is_none() => module = Some(name),
-            extra => {
-                eprintln!("unexpected scan operand {extra:?}");
-                return EXIT_USAGE;
-            }
-        }
-    }
+fn cmd_scan(a: &Args) -> Outcome {
+    let xval = a.has("--cross-validate");
+    let all = a.has("--all");
+    let module = a.operands.first();
     if all == module.is_some() {
-        eprintln!("usage: crash-resist scan <module> [--cross-validate] [--json]");
-        eprintln!("       crash-resist scan --all [--cross-validate] [--json]");
-        return EXIT_USAGE;
+        return Err(usage_error(a.verb, "scan takes one <module> or --all"));
     }
 
     let servers = cr_targets::all_servers();
-    let mut scans: Vec<cr_scan::ScanReport> = Vec::new();
-    let mut agreements: Vec<cr_scan::Agreement> = Vec::new();
+    let mut out = Scans {
+        scans: Vec::new(),
+        agreements: Vec::new(),
+    };
     let mut scan_server = |t: &cr_targets::ServerTarget| {
         if xval {
-            let (s, a) = cr_scan::cross_validate(t);
-            scans.push(s);
-            agreements.push(a);
+            let (scan, agreement) = cr_scan::cross_validate(t);
+            out.scans.push(scan);
+            out.agreements.push(agreement);
         } else {
-            scans.push(cr_scan::scan_elf(t.name, &t.image));
+            out.scans.push(cr_scan::scan_elf(t.name, &t.image));
         }
     };
-    if all {
+    if let Some(name) = module {
+        if let Some(t) = servers.iter().find(|t| t.name == *name) {
+            scan_server(t);
+        } else if let Some(m) = cr_targets::corpus::module(name) {
+            if xval {
+                let msg = format!(
+                    "--cross-validate needs a dynamic harness; corpus module {name:?} has none"
+                );
+                return Err(fail(EXIT_USAGE, msg));
+            }
+            out.scans.push(cr_scan::scan_elf(m.name, &m.image));
+        } else {
+            return Err(unknown("module", name));
+        }
+    } else {
         for t in &servers {
             scan_server(t);
         }
         // Corpus modules have no harness; they are the traceless-only
         // half of the sweep.
         for m in cr_targets::corpus::modules() {
-            scans.push(cr_scan::scan_elf(m.name, &m.image));
-        }
-    } else {
-        let name = module.expect("checked above");
-        if let Some(t) = servers.iter().find(|t| t.name == name) {
-            scan_server(t);
-        } else if let Some(m) = cr_targets::corpus::module(name) {
-            if xval {
-                eprintln!(
-                    "--cross-validate needs a dynamic harness; corpus module {name:?} has none"
-                );
-                return EXIT_USAGE;
-            }
-            scans.push(cr_scan::scan_elf(m.name, &m.image));
-        } else {
-            eprintln!("unknown module {name:?} (try `crash-resist list`)");
-            return EXIT_UNKNOWN_TARGET;
+            out.scans.push(cr_scan::scan_elf(m.name, &m.image));
         }
     }
 
-    if json {
-        use serde::Serialize;
-        let mut results = String::from("{\"scans\":[");
-        for (i, s) in scans.iter().enumerate() {
-            if i > 0 {
-                results.push(',');
-            }
-            results.push_str(&s.to_json());
-        }
-        results.push_str("],\"agreements\":");
-        agreements.write_json(&mut results);
-        results.push('}');
-        println!(
-            "{}",
-            Report::builder(ReportKind::Scan)
-                .results(results)
-                .build()
-                .to_json()
-        );
-        return EXIT_OK;
+    if a.has("--json") {
+        let report = Report::builder(ReportKind::Scan).results_of(&out).build();
+        println!("{}", report.to_json());
+        return Ok(EXIT_OK);
     }
 
-    for s in &scans {
+    for s in &out.scans {
         let c = s.counts();
         println!(
             "{}: {} syscall site(s) in {} function(s), {} instruction(s)",
@@ -649,48 +866,39 @@ fn cmd_scan(args: &[String]) -> i32 {
             }
         }
     }
-    for a in &agreements {
+    for g in &out.agreements {
         println!(
             "agreement {}: {} matched, {} static-only, {} taint-only (recall {:.0}%)",
-            a.module,
-            a.matched.len(),
-            a.static_only.len(),
-            a.taint_only.len(),
-            a.recall() * 100.0
+            g.module,
+            g.matched.len(),
+            g.static_only.len(),
+            g.taint_only.len(),
+            g.recall() * 100.0
         );
     }
-    EXIT_OK
+    Ok(EXIT_OK)
 }
 
-fn cmd_funnel(corpus: Option<&str>) -> i32 {
-    let corpus = match corpus {
+fn cmd_funnel(a: &Args) -> Outcome {
+    let corpus = match a.operands.first() {
         None => 2_000,
-        Some(s) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("bad corpus size {s:?}");
-                return EXIT_USAGE;
-            }
-        },
+        Some(s) => s
+            .parse()
+            .map_err(|_| fail(EXIT_USAGE, format!("bad corpus size {s:?}")))?,
     };
     let seed = effective_seed(None);
     eprintln!("building ie-sim with a {corpus}-function corpus (seed {seed}) ...");
     let mut sim = cr_targets::browsers::ie::build_with_corpus(corpus, seed);
     let report = cr_core::api_fuzzer::run_funnel(&mut sim, 2);
     print!("{}", cr_core::report::render_funnel(&report));
-    EXIT_OK
+    Ok(EXIT_OK)
 }
 
-fn cmd_poc(oracle: Option<&str>, addr: Option<&str>) -> i32 {
-    let (Some(oracle), Some(addr)) = (oracle, addr) else {
-        eprintln!("usage: crash-resist poc <ie|firefox|nginx> <hexaddr>");
-        return EXIT_USAGE;
-    };
-    let Ok(addr) = u64::from_str_radix(addr.trim_start_matches("0x"), 16) else {
-        eprintln!("bad address {addr:?}");
-        return EXIT_USAGE;
-    };
-    let (verdict, probes, crashed) = match oracle {
+fn cmd_poc(a: &Args) -> Outcome {
+    let (oracle, addr) = (&a.operands[0], &a.operands[1]);
+    let addr = u64::from_str_radix(addr.trim_start_matches("0x"), 16)
+        .map_err(|_| fail(EXIT_USAGE, format!("bad address {addr:?}")))?;
+    let (verdict, probes, crashed) = match oracle.as_str() {
         "ie" => {
             let mut o = cr_exploits::ie::IeOracle::new();
             (o.probe(addr), o.probes(), o.crashed())
@@ -703,10 +911,7 @@ fn cmd_poc(oracle: Option<&str>, addr: Option<&str>) -> i32 {
             let mut o = cr_exploits::nginx::NginxOracle::new();
             (o.probe(addr), o.probes(), o.crashed())
         }
-        other => {
-            eprintln!("unknown oracle {other:?} (try `crash-resist list`)");
-            return EXIT_UNKNOWN_TARGET;
-        }
+        other => return Err(unknown("oracle", other)),
     };
     println!(
         "{addr:#x}: {}  (probes: {probes}, crashes: {})",
@@ -717,178 +922,12 @@ fn cmd_poc(oracle: Option<&str>, addr: Option<&str>) -> i32 {
         },
         if crashed { "YES" } else { "0" }
     );
-    EXIT_OK
+    Ok(EXIT_OK)
 }
 
-/// Flags shared by the `campaign` and `chaos` verbs.
-struct CampaignFlags {
-    spec_path: Option<PathBuf>,
-    jobs: usize,
-    cache_dir: Option<PathBuf>,
-    seed_flag: Option<u64>,
-    retries: u32,
-    deadline_ms: Option<u64>,
-    json: bool,
-    /// write a structured execution trace (JSONL) here.
-    trace: Option<PathBuf>,
-    /// chaos only: built-in fault plan name.
-    plan: String,
-    /// chaos only: compact machine-checkable summary.
-    summary_json: bool,
-}
-
-impl CampaignFlags {
-    /// Parse `args`; `chaos` additionally accepts `--plan` and
-    /// `--summary-json`. Prints the usage error itself and returns
-    /// `Err(EXIT_USAGE)` so callers can `return` the code directly.
-    fn parse(verb: &str, args: &[String], chaos: bool) -> Result<CampaignFlags, i32> {
-        let mut f = CampaignFlags {
-            spec_path: None,
-            jobs: 1,
-            cache_dir: None,
-            seed_flag: None,
-            retries: 1,
-            deadline_ms: Some(cr_campaign::DEFAULT_DEADLINE_MS),
-            json: false,
-            trace: None,
-            plan: "mayhem".to_string(),
-            summary_json: false,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--json" => {
-                    f.json = true;
-                    i += 1;
-                }
-                "--summary-json" if chaos => {
-                    f.summary_json = true;
-                    i += 1;
-                }
-                flag @ ("--spec" | "--jobs" | "--cache" | "--seed" | "--retries"
-                | "--deadline-ms" | "--trace") => {
-                    let Some(v) = args.get(i + 1) else {
-                        eprintln!("{flag} needs a value");
-                        return Err(EXIT_USAGE);
-                    };
-                    let ok = match flag {
-                        "--spec" => {
-                            f.spec_path = Some(PathBuf::from(v));
-                            true
-                        }
-                        "--cache" => {
-                            f.cache_dir = Some(PathBuf::from(v));
-                            true
-                        }
-                        "--trace" => {
-                            f.trace = Some(PathBuf::from(v));
-                            true
-                        }
-                        "--jobs" => v.parse().map(|n| f.jobs = n).is_ok(),
-                        "--seed" => v.parse().map(|s| f.seed_flag = Some(s)).is_ok(),
-                        "--retries" => v.parse().map(|r| f.retries = r).is_ok(),
-                        "--deadline-ms" => v
-                            .parse()
-                            .map(|d| f.deadline_ms = if d == 0 { None } else { Some(d) })
-                            .is_ok(),
-                        _ => unreachable!(),
-                    };
-                    if !ok {
-                        eprintln!("bad {flag} value {v:?} (want a non-negative integer)");
-                        return Err(EXIT_USAGE);
-                    }
-                    i += 2;
-                }
-                "--plan" if chaos => {
-                    let Some(v) = args.get(i + 1) else {
-                        eprintln!("--plan needs a value");
-                        return Err(EXIT_USAGE);
-                    };
-                    f.plan = v.clone();
-                    i += 2;
-                }
-                other => {
-                    eprintln!("unknown {verb} option {other:?}");
-                    return Err(EXIT_USAGE);
-                }
-            }
-        }
-        Ok(f)
-    }
-
-    /// Resolve the campaign spec: `--spec FILE`, else `fallback`, with
-    /// an explicit seed (flag or `CR_SEED`) overriding the spec's own.
-    fn resolve_spec(
-        &self,
-        fallback: impl FnOnce(u64) -> CampaignSpec,
-    ) -> Result<CampaignSpec, i32> {
-        let mut spec = match &self.spec_path {
-            Some(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    EXIT_USAGE
-                })?;
-                CampaignSpec::from_json(&text).map_err(|e| {
-                    eprintln!("bad spec {}: {e}", path.display());
-                    EXIT_USAGE
-                })?
-            }
-            None => fallback(effective_seed(self.seed_flag)),
-        };
-        if self.seed_flag.is_some() || std::env::var("CR_SEED").is_ok() {
-            spec.seed = effective_seed(self.seed_flag);
-        }
-        Ok(spec)
-    }
-
-    fn engine_config(&self, injector: Option<std::sync::Arc<FaultInjector>>) -> EngineConfig {
-        EngineConfig {
-            jobs: self.jobs,
-            retries: self.retries,
-            cache_dir: self.cache_dir.clone(),
-            deadline_ms: self.deadline_ms,
-            injector,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Begin trace collection when `--trace FILE` was given.
-    fn start_trace(&self) {
-        if self.trace.is_some() {
-            cr_trace::start();
-        }
-    }
-
-    /// Stop trace collection and write the JSONL file. Returns an exit
-    /// code on I/O failure; `None` means nothing to do or success.
-    fn finish_trace(&self) -> Option<i32> {
-        let path = self.trace.as_ref()?;
-        let trace = cr_trace::finish();
-        if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
-            eprintln!("cannot write trace {}: {e}", path.display());
-            return Some(EXIT_RUNTIME);
-        }
-        eprintln!(
-            "trace: {} event(s) ({} dropped) -> {}",
-            trace.events.len(),
-            trace.dropped,
-            path.display()
-        );
-        None
-    }
-}
-
-fn cmd_campaign(args: &[String]) -> i32 {
-    let flags = match CampaignFlags::parse("campaign", args, false) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let spec = match flags.resolve_spec(CampaignSpec::builtin) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let json = flags.json;
-    let cfg = flags.engine_config(None);
+fn cmd_campaign(a: &Args) -> Outcome {
+    let spec = resolve_spec(a, CampaignSpec::builtin)?;
+    let cfg = engine_config(a)?;
     eprintln!(
         "campaign {:?}: {} task(s) on {} worker(s), seed {} ...",
         spec.name,
@@ -896,20 +935,10 @@ fn cmd_campaign(args: &[String]) -> i32 {
         cfg.jobs.max(1),
         spec.seed
     );
-    flags.start_trace();
-    let outcome = run_campaign(&spec, &cfg);
-    if let Some(code) = flags.finish_trace() {
-        return code;
-    }
-    let report = match outcome {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign cache error: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
+    let report = traced(a, || run_campaign(&spec, &cfg))?
+        .map_err(|e| fail(EXIT_RUNTIME, format!("campaign cache error: {e}")))?;
 
-    if json {
+    if a.has("--json") {
         println!("{}", report.to_report().to_json());
     } else {
         for rec in &report.records {
@@ -937,11 +966,11 @@ fn cmd_campaign(args: &[String]) -> i32 {
             m.cache.hit_rate() * 100.0
         );
     }
-    if report.degraded {
+    Ok(if report.degraded {
         EXIT_DEGRADED
     } else {
         EXIT_OK
-    }
+    })
 }
 
 /// The default arena spec: every probing strategy, one task each, so
@@ -957,7 +986,22 @@ fn arena_spec(seed: u64) -> CampaignSpec {
 /// The headline §VII-C invariants, computed from the strategy rows
 /// (reported, never asserted — `arena_bench` and the check script's
 /// arena-smoke step are the asserting consumers).
-fn arena_invariants(summaries: &[&cr_arena::ArenaSummary]) -> [(&'static str, bool); 4] {
+#[derive(Serialize)]
+struct ArenaInvariants {
+    stealth_evades_rate: bool,
+    stealth_caught_by_cusum: bool,
+    filter_blocks_escalations: bool,
+    zero_false_positives: bool,
+}
+
+/// `arena --json` results.
+#[derive(Serialize)]
+struct ArenaMatrix {
+    strategies: Vec<cr_arena::ArenaSummary>,
+    invariants: ArenaInvariants,
+}
+
+fn arena_invariants(summaries: &[cr_arena::ArenaSummary]) -> ArenaInvariants {
     let cell = |strategy: &str, detector: &str| {
         summaries
             .iter()
@@ -969,28 +1013,26 @@ fn arena_invariants(summaries: &[&cr_arena::ArenaSummary]) -> [(&'static str, bo
                     .map(|p| (s.rounds, p))
             })
     };
-    let stealth_evades_rate = cell("stealth", "rate").is_some_and(|(_, p)| p.detected_rounds == 0);
-    let stealth_caught_by_cusum = cell("stealth", "cusum")
-        .is_some_and(|(rounds, p)| rounds > 0 && p.detected_rounds == rounds);
     let escalation_len = cr_arena::ESCALATION.len() as u64;
-    let filter_blocks_escalations = !summaries.is_empty()
-        && summaries.iter().all(|s| {
-            s.pairs
+    ArenaInvariants {
+        stealth_evades_rate: cell("stealth", "rate").is_some_and(|(_, p)| p.detected_rounds == 0),
+        stealth_caught_by_cusum: cell("stealth", "cusum")
+            .is_some_and(|(rounds, p)| rounds > 0 && p.detected_rounds == rounds),
+        filter_blocks_escalations: !summaries.is_empty()
+            && summaries.iter().all(|s| {
+                s.pairs
+                    .iter()
+                    .find(|p| p.detector == "filter")
+                    .is_some_and(|p| {
+                        p.blocked_escalations == escalation_len * s.located_rounds as u64
+                    })
+            }),
+        zero_false_positives: !summaries.is_empty()
+            && summaries
                 .iter()
-                .find(|p| p.detector == "filter")
-                .is_some_and(|p| p.blocked_escalations == escalation_len * s.located_rounds as u64)
-        });
-    let zero_false_positives = !summaries.is_empty()
-        && summaries
-            .iter()
-            .flat_map(|s| &s.pairs)
-            .all(|p| p.false_positives == 0);
-    [
-        ("stealth_evades_rate", stealth_evades_rate),
-        ("stealth_caught_by_cusum", stealth_caught_by_cusum),
-        ("filter_blocks_escalations", filter_blocks_escalations),
-        ("zero_false_positives", zero_false_positives),
-    ]
+                .flat_map(|s| &s.pairs)
+                .all(|p| p.false_positives == 0),
+    }
 }
 
 /// `crash-resist arena`: run every probing strategy against the full
@@ -999,16 +1041,9 @@ fn arena_invariants(summaries: &[&cr_arena::ArenaSummary]) -> [(&'static str, bo
 /// envelope carries only the deterministic half (`metrics` is null,
 /// like `chaos --summary-json`), so it is byte-identical at any
 /// `--jobs` count and diffs against a golden.
-fn cmd_arena(args: &[String]) -> i32 {
-    let flags = match CampaignFlags::parse("arena", args, false) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let spec = match flags.resolve_spec(arena_spec) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let cfg = flags.engine_config(None);
+fn cmd_arena(a: &Args) -> Outcome {
+    let spec = resolve_spec(a, arena_spec)?;
+    let cfg = engine_config(a)?;
     eprintln!(
         "arena {:?}: {} strategy task(s) on {} worker(s), seed {} ...",
         spec.name,
@@ -1016,56 +1051,27 @@ fn cmd_arena(args: &[String]) -> i32 {
         cfg.jobs.max(1),
         spec.seed
     );
-    flags.start_trace();
-    let outcome = run_campaign(&spec, &cfg);
-    if let Some(code) = flags.finish_trace() {
-        return code;
-    }
-    let report = match outcome {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("arena cache error: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
-    let summaries: Vec<&cr_arena::ArenaSummary> = report
+    let report = traced(a, || run_campaign(&spec, &cfg))?
+        .map_err(|e| fail(EXIT_RUNTIME, format!("arena cache error: {e}")))?;
+    let strategies: Vec<cr_arena::ArenaSummary> = report
         .records
         .iter()
         .filter_map(|r| match &r.result {
-            Some(TaskResult::Arena { summary, .. }) => Some(summary),
+            Some(TaskResult::Arena { summary, .. }) => Some(summary.clone()),
             _ => None,
         })
         .collect();
-    let invariants = arena_invariants(&summaries);
-    if flags.json {
-        use serde::Serialize;
-        let mut results = String::from("{\"strategies\":[");
-        for (i, s) in summaries.iter().enumerate() {
-            if i > 0 {
-                results.push(',');
-            }
-            results.push_str(&s.to_json());
-        }
-        results.push_str("],\"invariants\":{");
-        for (i, (name, holds)) in invariants.iter().enumerate() {
-            if i > 0 {
-                results.push(',');
-            }
-            results.push('"');
-            results.push_str(name);
-            results.push_str("\":");
-            holds.write_json(&mut results);
-        }
-        results.push_str("}}");
-        println!(
-            "{}",
-            Report::builder(ReportKind::Arena)
-                .results(results)
-                .build()
-                .to_json()
-        );
+    let matrix = ArenaMatrix {
+        invariants: arena_invariants(&strategies),
+        strategies,
+    };
+    if a.has("--json") {
+        let envelope = Report::builder(ReportKind::Arena)
+            .results_of(&matrix)
+            .build();
+        println!("{}", envelope.to_json());
     } else {
-        for s in &summaries {
+        for s in &matrix.strategies {
             println!(
                 "  {:<8} {} round(s), {} probe(s) ({} dropped), located {}/{}",
                 s.strategy, s.rounds, s.probes, s.dropped, s.located_rounds, s.rounds
@@ -1082,25 +1088,41 @@ fn cmd_arena(args: &[String]) -> i32 {
                 );
             }
         }
-        let line: Vec<String> = invariants
-            .iter()
-            .map(|(name, holds)| format!("{name}={holds}"))
-            .collect();
-        println!("invariants: {}", line.join(" "));
-        for rec in &report.records {
-            if rec.result.is_none() {
-                match &rec.error {
-                    Some(err) => println!("  {:<18} FAILED: {err}", rec.label),
-                    None => println!("  {:<18} FAILED", rec.label),
-                }
+        let i = &matrix.invariants;
+        println!(
+            "invariants: stealth_evades_rate={} stealth_caught_by_cusum={} \
+             filter_blocks_escalations={} zero_false_positives={}",
+            i.stealth_evades_rate,
+            i.stealth_caught_by_cusum,
+            i.filter_blocks_escalations,
+            i.zero_false_positives
+        );
+        for rec in report.records.iter().filter(|r| r.result.is_none()) {
+            match &rec.error {
+                Some(err) => println!("  {:<18} FAILED: {err}", rec.label),
+                None => println!("  {:<18} FAILED", rec.label),
             }
         }
     }
-    if report.degraded {
+    Ok(if report.degraded {
         EXIT_DEGRADED
     } else {
         EXIT_OK
-    }
+    })
+}
+
+/// `chaos --summary-json` results: the byte-deterministic half (the
+/// smoke golden diffs it), so the envelope carries no `metrics`.
+#[derive(Serialize)]
+struct ChaosSummary {
+    plan: String,
+    seed: u64,
+    tasks: usize,
+    errors: ErrorCounts,
+    warm_errors: ErrorCounts,
+    degraded: bool,
+    fired: Vec<String>,
+    invariants: &'static str,
 }
 
 /// `crash-resist chaos`: run the campaign twice under a named fault
@@ -1116,24 +1138,15 @@ fn cmd_arena(args: &[String]) -> i32 {
 ///    deterministic report;
 /// 4. **clean cache** — after the warm phase rewrites the store, a
 ///    final reload quarantines nothing.
-fn cmd_chaos(args: &[String]) -> i32 {
-    let flags = match CampaignFlags::parse("chaos", args, true) {
-        Ok(f) => f,
-        Err(code) => return code,
+fn cmd_chaos(a: &Args) -> Outcome {
+    let base = engine_config(a)?;
+    let seed = effective_seed(a.opt_num("--seed")?);
+    let plan = fault_plan(a.value("--plan").expect("--plan has a default"), seed)?;
+    let spec = resolve_spec(a, CampaignSpec::smoke)?;
+    let with_plan = |plan: &FaultPlan| EngineConfig {
+        injector: Some(Arc::new(FaultInjector::new(plan.clone()))),
+        ..base.clone()
     };
-    let Some(plan) = FaultPlan::builtin(&flags.plan) else {
-        eprintln!(
-            "unknown fault plan {:?} (have: {})",
-            flags.plan,
-            BUILTIN_PLANS.join(" ")
-        );
-        return EXIT_UNKNOWN_TARGET;
-    };
-    let spec = match flags.resolve_spec(CampaignSpec::smoke) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let plan = plan.with_seed(effective_seed(flags.seed_flag));
 
     // The two-phase cache invariants need a persistent directory; use
     // a scratch one (removed afterwards) unless --cache was given. The
@@ -1141,21 +1154,18 @@ fn cmd_chaos(args: &[String]) -> i32 {
     // cold runs start from the same (empty) cache state.
     let scratch = std::env::temp_dir().join(format!("cr-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let cache_dir = match &flags.cache_dir {
-        Some(d) => d.clone(),
-        None => scratch.join("main"),
-    };
+    let cache_dir = base
+        .cache_dir
+        .clone()
+        .unwrap_or_else(|| scratch.join("main"));
     let rerun_dir = scratch.join("rerun");
 
-    let run_phase = |plan: &FaultPlan,
-                     dir: &PathBuf|
-     -> Result<
-        (cr_campaign::CampaignReport, std::sync::Arc<FaultInjector>),
-        std::io::Error,
-    > {
-        let injector = std::sync::Arc::new(FaultInjector::new(plan.clone()));
-        let mut cfg = flags.engine_config(Some(injector.clone()));
-        cfg.cache_dir = Some(dir.clone());
+    let run_phase = |plan: &FaultPlan, dir: &PathBuf| {
+        let cfg = EngineConfig {
+            cache_dir: Some(dir.clone()),
+            ..with_plan(plan)
+        };
+        let injector = cfg.injector.clone().expect("with_plan arms an injector");
         run_campaign(&spec, &cfg).map(|r| (r, injector))
     };
 
@@ -1164,138 +1174,101 @@ fn cmd_chaos(args: &[String]) -> i32 {
         plan.name,
         plan.seed,
         spec.tasks.len(),
-        flags.jobs.max(1)
+        base.jobs.max(1)
     );
 
-    flags.start_trace();
     let mut failures: Vec<String> = Vec::new();
-    let outcome =
-        (|| -> std::io::Result<(cr_campaign::CampaignReport, Vec<String>, ErrorCounts)> {
-            let (cold, cold_inj) = run_phase(&plan, &cache_dir)?;
-            let cfg_for_expect =
-                flags.engine_config(Some(std::sync::Arc::new(FaultInjector::new(plan.clone()))));
+    let outcome = traced(a, || -> std::io::Result<_> {
+        let (cold, cold_inj) = run_phase(&plan, &cache_dir)?;
 
-            // I1: completeness — spec order, one record per task.
-            if cold.records.len() != spec.tasks.len() {
-                failures.push(format!(
-                    "completeness: {} records for {} tasks",
-                    cold.records.len(),
-                    spec.tasks.len()
-                ));
+        // I1: completeness — spec order, one record per task.
+        if cold.records.len() != spec.tasks.len() {
+            failures.push(format!(
+                "completeness: {} records for {} tasks",
+                cold.records.len(),
+                spec.tasks.len()
+            ));
+        }
+        for (i, rec) in cold.records.iter().enumerate() {
+            if rec.index != i || rec.label != spec.tasks[i].label() {
+                failures.push(format!("completeness: record {i} is {:?}", rec.label));
             }
-            for (i, rec) in cold.records.iter().enumerate() {
-                if rec.index != i || rec.label != spec.tasks[i].label() {
-                    failures.push(format!("completeness: record {i} is {:?}", rec.label));
-                }
-            }
+        }
 
-            // I2: accounting — every injected fault shows up in its class,
-            // nothing else does. The cold phase starts from an empty cache,
-            // so its quarantine count must be zero.
-            let expected = expected_error_counts(&spec, &cfg_for_expect);
-            if cold.errors != expected {
-                failures.push(format!(
-                    "accounting: observed {:?}, expected {:?}",
-                    cold.errors, expected
-                ));
-            }
+        // I2: accounting — every injected fault shows up in its
+        // class, nothing else does. The cold phase starts from an
+        // empty cache, so its quarantine count must be zero.
+        let expected = expected_error_counts(&spec, &with_plan(&plan));
+        if cold.errors != expected {
+            failures.push(format!(
+                "accounting: observed {:?}, expected {:?}",
+                cold.errors, expected
+            ));
+        }
 
-            // I3: determinism — identical rerun from an equally fresh
-            // cache, byte-identical deterministic report.
-            let (cold2, _) = run_phase(&plan, &rerun_dir)?;
-            if cold.results_json() != cold2.results_json() {
-                failures.push("determinism: rerun produced a different report".to_string());
-            }
+        // I3: determinism — identical rerun from an equally fresh
+        // cache, byte-identical deterministic report.
+        let (cold2, _) = run_phase(&plan, &rerun_dir)?;
+        if cold.results_json() != cold2.results_json() {
+            failures.push("determinism: rerun produced a different report".to_string());
+        }
 
-            // Warm phase: stop corrupting saves, run over the damaged
-            // store. Every record the cold phase corrupted must be
-            // quarantined and recomputed.
-            let corrupted = cold_inj.fired_count(Site::CacheRecord);
-            let warm_plan = plan.clone().without_site(Site::CacheRecord);
-            let (warm, _) = run_phase(&warm_plan, &cache_dir)?;
-            let mut warm_expected = expected_error_counts(
-                &spec,
-                &flags.engine_config(Some(std::sync::Arc::new(FaultInjector::new(
-                    warm_plan.clone(),
-                )))),
-            );
-            warm_expected.cache_corrupt += corrupted;
-            if warm.errors != warm_expected {
-                failures.push(format!(
-                "accounting(warm): observed {:?}, expected {:?} ({corrupted} corrupted record(s))",
+        // Warm phase: stop corrupting saves, run over the damaged
+        // store. Every record the cold phase corrupted must be
+        // quarantined and recomputed.
+        let corrupted = cold_inj.fired_count(Site::CacheRecord);
+        let warm_plan = plan.clone().without_site(Site::CacheRecord);
+        let (warm, _) = run_phase(&warm_plan, &cache_dir)?;
+        let mut warm_expected = expected_error_counts(&spec, &with_plan(&warm_plan));
+        warm_expected.cache_corrupt += corrupted;
+        if warm.errors != warm_expected {
+            failures.push(format!(
+                "accounting(warm): observed {:?}, expected {:?} \
+                 ({corrupted} corrupted record(s))",
                 warm.errors, warm_expected
             ));
-            }
-
-            // I4: the warm save rewrote the store cleanly.
-            let reload = AnalysisCache::load(&cache_dir)?;
-            if reload.quarantined() != 0 {
-                failures.push(format!(
-                    "clean-cache: final reload still quarantines {} line(s)",
-                    reload.quarantined()
-                ));
-            }
-
-            // Only the campaign-layer sites: the serve-layer sites can
-            // never fire here, and listing them would churn the golden.
-            let fired: Vec<String> = Site::CAMPAIGN
-                .iter()
-                .map(|&s| format!("{}:{}", s.name(), cold_inj.fired_count(s)))
-                .collect();
-            Ok((cold, fired, warm.errors))
-        })();
-
-    let _ = std::fs::remove_dir_all(&scratch);
-    if let Some(code) = flags.finish_trace() {
-        return code;
-    }
-
-    let (cold, fired, warm_errors) = match outcome {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("chaos cache error: {e}");
-            return EXIT_RUNTIME;
         }
-    };
 
-    if flags.json {
+        // I4: the warm save rewrote the store cleanly.
+        let reload = AnalysisCache::load(&cache_dir)?;
+        if reload.quarantined() != 0 {
+            failures.push(format!(
+                "clean-cache: final reload still quarantines {} line(s)",
+                reload.quarantined()
+            ));
+        }
+
+        // Only the campaign-layer sites: the serve-layer sites can
+        // never fire here, and listing them would churn the golden.
+        let fired: Vec<String> = Site::CAMPAIGN
+            .iter()
+            .map(|&s| format!("{}:{}", s.name(), cold_inj.fired_count(s)))
+            .collect();
+        Ok((cold, fired, warm.errors))
+    });
+    let _ = std::fs::remove_dir_all(&scratch);
+    let (cold, fired, warm_errors) =
+        outcome?.map_err(|e| fail(EXIT_RUNTIME, format!("chaos cache error: {e}")))?;
+
+    if a.has("--json") {
         println!("{}", cold.to_report().to_json());
     }
-    if flags.summary_json {
-        use serde::Serialize;
-        let mut results = String::from("{\"plan\":");
-        plan.name.write_json(&mut results);
-        results.push_str(",\"seed\":");
-        plan.seed.write_json(&mut results);
-        results.push_str(",\"tasks\":");
-        cold.records.len().write_json(&mut results);
-        results.push_str(",\"errors\":");
-        cold.errors.write_json(&mut results);
-        results.push_str(",\"warm_errors\":");
-        warm_errors.write_json(&mut results);
-        results.push_str(",\"degraded\":");
-        cold.degraded.write_json(&mut results);
-        results.push_str(",\"fired\":[");
-        for (i, f) in fired.iter().enumerate() {
-            if i > 0 {
-                results.push(',');
-            }
-            f.write_json(&mut results);
-        }
-        results.push_str("],\"invariants\":");
-        if failures.is_empty() { "ok" } else { "BROKEN" }.write_json(&mut results);
-        results.push('}');
-        // The summary is the byte-deterministic half (the smoke golden
-        // diffs it), so it rides in `results` with no `metrics`.
-        println!(
-            "{}",
-            Report::builder(ReportKind::Chaos)
-                .results(results)
-                .build()
-                .to_json()
-        );
-    }
-    if !flags.json && !flags.summary_json {
+    if a.has("--summary-json") {
+        let summary = ChaosSummary {
+            plan: plan.name.clone(),
+            seed: plan.seed,
+            tasks: cold.records.len(),
+            errors: cold.errors,
+            warm_errors,
+            degraded: cold.degraded,
+            fired,
+            invariants: if failures.is_empty() { "ok" } else { "BROKEN" },
+        };
+        let report = Report::builder(ReportKind::Chaos)
+            .results_of(&summary)
+            .build();
+        println!("{}", report.to_json());
+    } else if !a.has("--json") {
         println!(
             "plan {:?}: {} fault(s) fired ({}), error classes {:?}",
             plan.name,
@@ -1311,13 +1284,46 @@ fn cmd_chaos(args: &[String]) -> i32 {
     for f in &failures {
         eprintln!("chaos invariant broken: {f}");
     }
-    if !failures.is_empty() {
+    Ok(if !failures.is_empty() {
         EXIT_RUNTIME
     } else if cold.degraded {
         EXIT_DEGRADED
     } else {
         EXIT_OK
-    }
+    })
+}
+
+/// `report --json` results: what the merged traces hold.
+#[derive(Serialize)]
+struct TraceContents {
+    files: usize,
+    events: usize,
+    dropped: u64,
+    stages: Vec<&'static str>,
+}
+
+/// `report --json` metrics: wall-clock latencies and solver counters.
+#[derive(Serialize)]
+struct TraceLatencies {
+    stages: Vec<StageLatency>,
+    solver: SolverEvents,
+}
+
+#[derive(Serialize)]
+struct StageLatency {
+    stage: &'static str,
+    events: u64,
+    spans: u64,
+    p50_us: u64,
+    p95_us: u64,
+    max_us: u64,
+}
+
+#[derive(Serialize)]
+struct SolverEvents {
+    checks: usize,
+    memo_hits: usize,
+    memo_misses: usize,
 }
 
 /// `crash-resist report`: merge one or more `--trace` files and render
@@ -1325,122 +1331,72 @@ fn cmd_chaos(args: &[String]) -> i32 {
 /// campaign timeline of schedule spans. With `--json`, emits a
 /// [`ReportKind::Report`] envelope: stage/event counts in `results`,
 /// wall-clock latency statistics in `metrics`.
-fn cmd_report(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut files: Vec<PathBuf> = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown report option {flag:?}");
-                return EXIT_USAGE;
-            }
-            path => files.push(PathBuf::from(path)),
-        }
+fn cmd_report(a: &Args) -> Outcome {
+    let mut traces = Vec::with_capacity(a.operands.len());
+    for path in &a.operands {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| fail(EXIT_USAGE, format!("cannot read {path}: {e}")))?;
+        let trace = cr_trace::Trace::parse_jsonl(&text)
+            .map_err(|e| fail(EXIT_USAGE, format!("bad trace {path}: {e}")))?;
+        traces.push(trace);
     }
-    if files.is_empty() {
-        eprintln!("usage: crash-resist report <trace.jsonl>... [--json]");
-        return EXIT_USAGE;
-    }
-    let mut traces = Vec::with_capacity(files.len());
-    for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return EXIT_USAGE;
-            }
-        };
-        match cr_trace::Trace::parse_jsonl(&text) {
-            Ok(t) => traces.push(t),
-            Err(e) => {
-                eprintln!("bad trace {}: {e}", path.display());
-                return EXIT_USAGE;
-            }
-        }
-    }
-    let n_files = traces.len();
     let merged = cr_trace::Trace::merge(traces);
-    let stats = merged.stage_stats();
-    let stage_names: Vec<&str> = merged.stages().iter().map(|s| s.name()).collect();
+    let contents = TraceContents {
+        files: a.operands.len(),
+        events: merged.events.len(),
+        dropped: merged.dropped,
+        stages: merged.stages().iter().map(|s| s.name()).collect(),
+    };
     // Decision-procedure counters from the advisory symex events.
-    let solver_checks = merged.count_events(cr_trace::Stage::Symex, "solver.check");
-    let solver_memo_hits =
-        merged.count_events_with(cr_trace::Stage::Symex, "solver.check", "memo=hit");
-    let solver_memo_misses =
-        merged.count_events_with(cr_trace::Stage::Symex, "solver.check", "memo=miss");
+    let symex = cr_trace::Stage::Symex;
+    let latencies = TraceLatencies {
+        stages: merged
+            .stage_stats()
+            .iter()
+            .map(|s| StageLatency {
+                stage: s.stage.name(),
+                events: s.events,
+                spans: s.spans,
+                p50_us: s.hist.p50().unwrap_or(0),
+                p95_us: s.hist.p95().unwrap_or(0),
+                max_us: s.hist.max(),
+            })
+            .collect(),
+        solver: SolverEvents {
+            checks: merged.count_events(symex, "solver.check"),
+            memo_hits: merged.count_events_with(symex, "solver.check", "memo=hit"),
+            memo_misses: merged.count_events_with(symex, "solver.check", "memo=miss"),
+        },
+    };
 
-    if json {
-        use serde::Serialize;
-        let mut results = String::from("{\"files\":");
-        n_files.write_json(&mut results);
-        results.push_str(",\"events\":");
-        merged.events.len().write_json(&mut results);
-        results.push_str(",\"dropped\":");
-        merged.dropped.write_json(&mut results);
-        results.push_str(",\"stages\":");
-        stage_names.write_json(&mut results);
-        results.push('}');
-        let mut metrics = String::from("{\"stages\":[");
-        for (i, s) in stats.iter().enumerate() {
-            if i > 0 {
-                metrics.push(',');
-            }
-            metrics.push_str("{\"stage\":");
-            s.stage.name().write_json(&mut metrics);
-            metrics.push_str(",\"events\":");
-            s.events.write_json(&mut metrics);
-            metrics.push_str(",\"spans\":");
-            s.spans.write_json(&mut metrics);
-            metrics.push_str(",\"p50_us\":");
-            s.hist.p50().unwrap_or(0).write_json(&mut metrics);
-            metrics.push_str(",\"p95_us\":");
-            s.hist.p95().unwrap_or(0).write_json(&mut metrics);
-            metrics.push_str(",\"max_us\":");
-            s.hist.max().write_json(&mut metrics);
-            metrics.push('}');
-        }
-        metrics.push_str("],\"solver\":{\"checks\":");
-        solver_checks.write_json(&mut metrics);
-        metrics.push_str(",\"memo_hits\":");
-        solver_memo_hits.write_json(&mut metrics);
-        metrics.push_str(",\"memo_misses\":");
-        solver_memo_misses.write_json(&mut metrics);
-        metrics.push_str("}}");
-        println!(
-            "{}",
-            Report::builder(ReportKind::Report)
-                .results(results)
-                .metrics(metrics)
-                .build()
-                .to_json()
-        );
-        return EXIT_OK;
+    if a.has("--json") {
+        let report = Report::builder(ReportKind::Report)
+            .results_of(&contents)
+            .metrics_of(&latencies)
+            .build();
+        println!("{}", report.to_json());
+        return Ok(EXIT_OK);
     }
 
     println!(
-        "trace report: {n_files} file(s), {} event(s), {} dropped",
-        merged.events.len(),
-        merged.dropped
+        "trace report: {} file(s), {} event(s), {} dropped",
+        contents.files, contents.events, contents.dropped
     );
-    println!("stages: {}", stage_names.join(" "));
+    println!("stages: {}", contents.stages.join(" "));
     println!(
         "{:<10} {:>7} {:>7} {:>9} {:>9} {:>9}",
         "stage", "events", "spans", "p50_us", "p95_us", "max_us"
     );
-    for s in &stats {
+    for s in &latencies.stages {
         println!(
             "{:<10} {:>7} {:>7} {:>9} {:>9} {:>9}",
-            s.stage.name(),
-            s.events,
-            s.spans,
-            s.hist.p50().unwrap_or(0),
-            s.hist.p95().unwrap_or(0),
-            s.hist.max()
+            s.stage, s.events, s.spans, s.p50_us, s.p95_us, s.max_us
         );
     }
+    let solver = &latencies.solver;
     println!(
-        "solver: checks={solver_checks} memo_hits={solver_memo_hits} memo_misses={solver_memo_misses}"
+        "solver: checks={} memo_hits={} memo_misses={}",
+        solver.checks, solver.memo_hits, solver.memo_misses
     );
 
     // Merged campaign timeline: scheduling spans across all runs, in
@@ -1466,7 +1422,23 @@ fn cmd_report(args: &[String]) -> i32 {
     if rows.len() > TIMELINE_ROWS {
         println!("  ... and {} more", rows.len() - TIMELINE_ROWS);
     }
-    EXIT_OK
+    Ok(EXIT_OK)
+}
+
+/// The server configuration from `serve`'s flags.
+fn serve_config(a: &Args) -> Result<cr_serve::ServeConfig, i32> {
+    let engine = engine_config(a)?;
+    Ok(cr_serve::ServeConfig {
+        addr: a.value("--addr").expect("--addr has a default").to_string(),
+        jobs: engine.jobs,
+        retries: engine.retries,
+        deadline_ms: engine.deadline_ms,
+        request_deadline_ms: a.deadline("--request-deadline-ms")?,
+        admit_capacity: a.num("--capacity")?,
+        cache_dir: engine.cache_dir,
+        injector: plan_injector(a, effective_seed(a.opt_num("--seed")?))?,
+        ..cr_serve::ServeConfig::default()
+    })
 }
 
 /// `crash-resist serve`: bind the resident analysis server and run it
@@ -1474,136 +1446,43 @@ fn cmd_report(args: &[String]) -> i32 {
 /// portable `std` cannot trap signals). Prints `serving on ADDR` on
 /// stdout once the listener is live, so scripts can scrape the
 /// ephemeral port, then blocks until the drain completes.
-fn cmd_serve(args: &[String]) -> i32 {
-    let mut cfg = cr_serve::ServeConfig::default();
-    let mut plan_name: Option<String> = None;
-    let mut seed_flag: Option<u64> = None;
-    let mut stats_json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stats-json" => {
-                stats_json = true;
-                i += 1;
-            }
-            flag @ ("--addr"
-            | "--jobs"
-            | "--retries"
-            | "--deadline-ms"
-            | "--request-deadline-ms"
-            | "--capacity"
-            | "--cache"
-            | "--plan"
-            | "--seed") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{flag} needs a value");
-                    return EXIT_USAGE;
-                };
-                let ok = match flag {
-                    "--addr" => {
-                        cfg.addr = v.clone();
-                        true
-                    }
-                    "--cache" => {
-                        cfg.cache_dir = Some(PathBuf::from(v));
-                        true
-                    }
-                    "--plan" => {
-                        plan_name = Some(v.clone());
-                        true
-                    }
-                    "--jobs" => v.parse().map(|n| cfg.jobs = n).is_ok(),
-                    "--retries" => v.parse().map(|r| cfg.retries = r).is_ok(),
-                    "--deadline-ms" => v
-                        .parse()
-                        .map(|d| cfg.deadline_ms = if d == 0 { None } else { Some(d) })
-                        .is_ok(),
-                    "--request-deadline-ms" => v
-                        .parse()
-                        .map(|d| cfg.request_deadline_ms = if d == 0 { None } else { Some(d) })
-                        .is_ok(),
-                    "--capacity" => v.parse().map(|c| cfg.admit_capacity = c).is_ok(),
-                    "--seed" => v.parse().map(|s| seed_flag = Some(s)).is_ok(),
-                    _ => unreachable!(),
-                };
-                if !ok {
-                    eprintln!("bad {flag} value {v:?} (want a non-negative integer)");
-                    return EXIT_USAGE;
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown serve option {other:?}");
-                return EXIT_USAGE;
-            }
-        }
-    }
-    if let Some(name) = &plan_name {
-        let Some(plan) = FaultPlan::builtin(name) else {
-            eprintln!(
-                "unknown fault plan {name:?} (have: {})",
-                BUILTIN_PLANS.join(" ")
-            );
-            return EXIT_UNKNOWN_TARGET;
-        };
-        cfg.injector = Some(std::sync::Arc::new(FaultInjector::new(
-            plan.with_seed(effective_seed(seed_flag)),
-        )));
-    }
-    let server = match cr_serve::Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind server: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot read bound address: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
+fn cmd_serve(a: &Args) -> Outcome {
+    let server = cr_serve::Server::bind(serve_config(a)?)
+        .map_err(|e| fail(EXIT_RUNTIME, format!("cannot bind server: {e}")))?;
+    let addr = server
+        .local_addr()
+        .map_err(|e| fail(EXIT_RUNTIME, format!("cannot read bound address: {e}")))?;
     println!("serving on {addr}");
     {
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
     }
-    match server.run() {
-        Ok(stats) => {
-            eprintln!(
-                "drained: {} conn(s), {} request(s) admitted, {} completed, {} busy-rejected",
-                stats.conns_accepted,
-                stats.requests_admitted,
-                stats.requests_completed,
-                stats.busy_rejections
-            );
-            if stats_json {
-                use serde::Serialize;
-                println!(
-                    "{}",
-                    Report::builder(ReportKind::Serve)
-                        .results(stats.to_json())
-                        .build()
-                        .to_json()
-                );
-            }
-            EXIT_OK
-        }
-        Err(e) => {
-            eprintln!("server failed: {e}");
-            EXIT_RUNTIME
-        }
+    let stats = server
+        .run()
+        .map_err(|e| fail(EXIT_RUNTIME, format!("server failed: {e}")))?;
+    eprintln!(
+        "drained: {} conn(s), {} request(s) admitted, {} completed, {} busy-rejected",
+        stats.conns_accepted,
+        stats.requests_admitted,
+        stats.requests_completed,
+        stats.busy_rejections
+    );
+    if a.has("--stats-json") {
+        let report = Report::builder(ReportKind::Serve)
+            .results_of(&stats)
+            .build();
+        println!("{}", report.to_json());
     }
+    Ok(EXIT_OK)
 }
 
 /// One spec of the fleet request mix: a single SEH module per
 /// request, chosen round-robin from the calibration set so each
 /// request has a distinct consistent-hash route key and the mix
 /// spreads across workers.
-fn fleet_spec(n: usize, seed: u64) -> cr_campaign::CampaignSpec {
+fn fleet_spec(n: usize, seed: u64) -> CampaignSpec {
     let calib = cr_targets::browsers::CALIBRATION;
-    cr_campaign::CampaignSpec::builder()
+    CampaignSpec::builder()
         .name(format!("fleet-{n}"))
         .seed(seed)
         .seh(calib[n % calib.len()].name)
@@ -1634,6 +1513,16 @@ fn fleet_request(addr: &str, payload: &str) -> Result<String, String> {
     String::from_utf8(result).map_err(|_| "result document is not UTF-8".to_string())
 }
 
+/// `fleet --summary-json` results: the invariant verdict.
+#[derive(Serialize)]
+struct FleetVerdict {
+    answered: usize,
+    expected: usize,
+    byte_identical: bool,
+    exactly_once: bool,
+    ok: bool,
+}
+
 /// `crash-resist fleet`: start an in-process supervised fleet, drive
 /// a deterministic request mix through the router, and verify the
 /// fleet invariants against one-shot campaign references computed in
@@ -1650,95 +1539,34 @@ fn fleet_request(addr: &str, payload: &str) -> Result<String, String> {
 /// burst of identical requests to exercise coalescing; with
 /// `--rolling-restart` the distinct specs are re-driven while every
 /// worker rotates through a graceful drain.
-fn cmd_fleet(args: &[String]) -> i32 {
-    let mut workers = 3usize;
-    let mut requests = 4usize;
-    let mut plan_name: Option<String> = None;
-    let mut seed_flag: Option<u64> = None;
-    let mut kill_request: Option<u64> = None;
-    let mut rolling = false;
-    let mut summary_json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rolling-restart" => {
-                rolling = true;
-                i += 1;
-            }
-            "--summary-json" => {
-                summary_json = true;
-                i += 1;
-            }
-            flag @ ("--workers" | "--requests" | "--plan" | "--seed" | "--kill-request") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{flag} needs a value");
-                    return EXIT_USAGE;
-                };
-                let ok = match flag {
-                    "--plan" => {
-                        plan_name = Some(v.clone());
-                        true
-                    }
-                    "--workers" => v.parse().map(|n: usize| workers = n.max(1)).is_ok(),
-                    "--requests" => v.parse().map(|n: usize| requests = n.max(1)).is_ok(),
-                    "--seed" => v.parse().map(|s| seed_flag = Some(s)).is_ok(),
-                    "--kill-request" => v.parse().map(|k| kill_request = Some(k)).is_ok(),
-                    _ => unreachable!(),
-                };
-                if !ok {
-                    eprintln!("bad {flag} value {v:?} (want a non-negative integer)");
-                    return EXIT_USAGE;
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown fleet option {other:?}");
-                return EXIT_USAGE;
-            }
-        }
-    }
-    let seed = effective_seed(seed_flag);
-    let mut cfg = cr_fleet::FleetConfig {
+fn cmd_fleet(a: &Args) -> Outcome {
+    let workers = a.num::<usize>("--workers")?.max(1);
+    let requests = a.num::<usize>("--requests")?.max(1);
+    let seed = effective_seed(a.opt_num("--seed")?);
+    let cfg = cr_fleet::FleetConfig {
         workers,
-        kill_at_admission: kill_request,
+        kill_at_admission: a.opt_num("--kill-request")?,
+        injector: plan_injector(a, seed)?,
         ..cr_fleet::FleetConfig::default()
     };
-    if let Some(name) = &plan_name {
-        let Some(plan) = FaultPlan::builtin(name) else {
-            eprintln!(
-                "unknown fault plan {name:?} (have: {})",
-                BUILTIN_PLANS.join(" ")
-            );
-            return EXIT_UNKNOWN_TARGET;
-        };
-        cfg.injector = Some(std::sync::Arc::new(FaultInjector::new(
-            plan.with_seed(seed),
-        )));
-    }
 
     // The byte-identity references: the same specs, run one-shot in
     // this process. The fleet must reproduce these exactly no matter
     // which worker answers or how often the admission failed over.
-    let specs: Vec<cr_campaign::CampaignSpec> =
-        (0..requests).map(|n| fleet_spec(n, seed)).collect();
+    let specs: Vec<CampaignSpec> = (0..requests).map(|n| fleet_spec(n, seed)).collect();
     let mut references = Vec::with_capacity(requests);
     for spec in &specs {
-        match run_campaign(spec, &EngineConfig::default()) {
-            Ok(report) => references.push(report.results_json()),
-            Err(e) => {
-                eprintln!("cannot compute reference for {}: {e}", spec.name);
-                return EXIT_RUNTIME;
-            }
-        }
+        let report = run_campaign(spec, &EngineConfig::default()).map_err(|e| {
+            fail(
+                EXIT_RUNTIME,
+                format!("cannot compute reference for {}: {e}", spec.name),
+            )
+        })?;
+        references.push(report.results_json());
     }
 
-    let fleet = match cr_fleet::Fleet::start(cfg) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot start fleet: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
+    let fleet = cr_fleet::Fleet::start(cfg)
+        .map_err(|e| fail(EXIT_RUNTIME, format!("cannot start fleet: {e}")))?;
     let addr = fleet.addr().to_string();
     eprintln!("fleet: {workers} worker(s) behind {addr}");
 
@@ -1768,7 +1596,7 @@ fn cmd_fleet(args: &[String]) -> i32 {
 
     // Phase 2 (--rolling-restart): re-drive the same specs while every
     // worker rotates through a graceful drain-and-respawn.
-    if rolling {
+    if a.has("--rolling-restart") {
         std::thread::scope(|s| {
             s.spawn(|| fleet.rolling_restart());
             for (n, spec) in specs.iter().enumerate() {
@@ -1811,32 +1639,26 @@ fn cmd_fleet(args: &[String]) -> i32 {
     // Closed connections retire their ledger entries into counters;
     // the invariant covers those too.
     let exactly_once = live_exactly_once && stats.ledger_violations == 0;
-    let ok = answered == expected && byte_identical && exactly_once;
+    let verdict = FleetVerdict {
+        answered,
+        expected,
+        byte_identical,
+        exactly_once,
+        ok: answered == expected && byte_identical && exactly_once,
+    };
     eprintln!(
         "fleet verdict: answered {answered}/{expected}, byte_identical={byte_identical}, \
          exactly_once={exactly_once}, kills={}, failovers={}, restarts={}, coalesced={}",
         stats.kills, stats.failovers, stats.restarts, stats.coalesced
     );
-    if summary_json {
-        use serde::Serialize;
-        let results = format!(
-            "{{\"answered\":{answered},\"expected\":{expected},\
-             \"byte_identical\":{byte_identical},\"exactly_once\":{exactly_once},\"ok\":{ok}}}"
-        );
-        println!(
-            "{}",
-            Report::builder(ReportKind::Fleet)
-                .results(results)
-                .metrics(stats.to_json())
-                .build()
-                .to_json()
-        );
+    if a.has("--summary-json") {
+        let report = Report::builder(ReportKind::Fleet)
+            .results_of(&verdict)
+            .metrics_of(&stats)
+            .build();
+        println!("{}", report.to_json());
     }
-    if ok {
-        EXIT_OK
-    } else {
-        EXIT_RUNTIME
-    }
+    Ok(if verdict.ok { EXIT_OK } else { EXIT_RUNTIME })
 }
 
 /// Render the request payload: the spec document with the server-side
@@ -1844,12 +1666,11 @@ fn cmd_fleet(args: &[String]) -> i32 {
 /// parser ignores unknown top-level keys, so the same document also
 /// feeds `campaign --spec` unchanged.
 fn request_payload(
-    spec: &cr_campaign::CampaignSpec,
+    spec: &CampaignSpec,
     jobs: Option<usize>,
     retries: Option<u32>,
     deadline_ms: Option<u64>,
 ) -> String {
-    use serde::Serialize;
     let mut doc = spec.to_json();
     doc.pop(); // strip the trailing '}' and splice the option keys
     if let Some(j) = jobs {
@@ -1868,135 +1689,39 @@ fn request_payload(
 /// `crash-resist client`: connect to a resident server, send one
 /// campaign request (optionally repeated over the same connection to
 /// exercise the warm caches), and render the streamed response.
-fn cmd_client(args: &[String]) -> i32 {
-    let mut addr: Option<String> = None;
-    let mut spec_path: Option<PathBuf> = None;
-    let mut seed_flag: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut retries: Option<u32> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut repeat = 1usize;
-    let mut repeat_given = false;
-    let mut busy_retries = 3u32;
-    let mut json = false;
-    let mut stats = false;
-    let mut shutdown = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--stats" => {
-                stats = true;
-                i += 1;
-            }
-            "--shutdown" => {
-                shutdown = true;
-                i += 1;
-            }
-            flag @ ("--addr" | "--spec" | "--seed" | "--jobs" | "--retries" | "--deadline-ms"
-            | "--repeat" | "--busy-retries") => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("{flag} needs a value");
-                    return EXIT_USAGE;
-                };
-                let ok = match flag {
-                    "--addr" => {
-                        addr = Some(v.clone());
-                        true
-                    }
-                    "--spec" => {
-                        spec_path = Some(PathBuf::from(v));
-                        true
-                    }
-                    "--seed" => v.parse().map(|s| seed_flag = Some(s)).is_ok(),
-                    "--jobs" => v.parse().map(|n| jobs = Some(n)).is_ok(),
-                    "--retries" => v.parse().map(|r| retries = Some(r)).is_ok(),
-                    "--deadline-ms" => v.parse().map(|d| deadline_ms = Some(d)).is_ok(),
-                    "--repeat" => v
-                        .parse()
-                        .map(|n: usize| {
-                            repeat = n.max(1);
-                            repeat_given = true;
-                        })
-                        .is_ok(),
-                    "--busy-retries" => v.parse().map(|n| busy_retries = n).is_ok(),
-                    _ => unreachable!(),
-                };
-                if !ok {
-                    eprintln!("bad {flag} value {v:?} (want a non-negative integer)");
-                    return EXIT_USAGE;
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown client option {other:?}");
-                return EXIT_USAGE;
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("usage: crash-resist client --addr HOST:PORT [options]");
-        return EXIT_USAGE;
+fn cmd_client(a: &Args) -> Outcome {
+    let Some(addr) = a.value("--addr") else {
+        return Err(usage_error(a.verb, "client needs --addr HOST:PORT"));
     };
-    let mut spec = match &spec_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return EXIT_USAGE;
-                }
-            };
-            match cr_campaign::CampaignSpec::from_json(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("bad spec {}: {e}", path.display());
-                    return EXIT_USAGE;
-                }
-            }
-        }
-        None => cr_campaign::CampaignSpec::smoke(effective_seed(seed_flag)),
-    };
-    if seed_flag.is_some() || std::env::var("CR_SEED").is_ok() {
-        spec.seed = effective_seed(seed_flag);
-    }
-    let payload = request_payload(&spec, jobs, retries, deadline_ms);
+    let spec = resolve_spec(a, CampaignSpec::smoke)?;
+    let payload = request_payload(
+        &spec,
+        a.opt_num("--jobs")?,
+        a.opt_num("--retries")?,
+        a.opt_num("--deadline-ms")?,
+    );
+    let repeat = a.num::<usize>("--repeat")?.max(1);
+    let busy_retries: u32 = a.num("--busy-retries")?;
 
-    let mut client = match cr_serve::Client::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return EXIT_RUNTIME;
-        }
-    };
+    let mut client = cr_serve::Client::connect(addr)
+        .map_err(|e| fail(EXIT_RUNTIME, format!("cannot connect to {addr}: {e}")))?;
     eprintln!("connected to {addr} (protocol v{})", client.version);
 
     // A bare `client --addr X --shutdown` is an operator saying "stop
     // the server" — don't run a smoke campaign on the way out. Any
-    // request-shaped flag restores the request loop before shutdown.
+    // other flag shapes a request and restores the request loop.
+    let shutdown = a.has("--shutdown");
     let send_requests = !shutdown
-        || spec_path.is_some()
-        || repeat_given
-        || json
-        || stats
-        || seed_flag.is_some()
-        || jobs.is_some()
-        || retries.is_some()
-        || deadline_ms.is_some();
+        || a.given
+            .keys()
+            .any(|f| !matches!(*f, "--addr" | "--shutdown"));
 
     let mut worst = EXIT_OK;
     let mut last: Option<cr_serve::Response> = None;
     for n in 1..=if send_requests { repeat } else { 0 } {
-        let response = match client.request_with_retry(&payload, busy_retries) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("request {n} failed: {e}");
-                return EXIT_RUNTIME;
-            }
-        };
+        let response = client
+            .request_with_retry(&payload, busy_retries)
+            .map_err(|e| fail(EXIT_RUNTIME, format!("request {n} failed: {e}")))?;
         if let Some(err) = &response.error {
             eprintln!("request {n}: server error: {err}");
             worst = EXIT_RUNTIME;
@@ -2015,7 +1740,7 @@ fn cmd_client(args: &[String]) -> i32 {
                 response.done_u64("solver_calls").unwrap_or(0),
                 response.done_str("parse").unwrap_or_default(),
             );
-            if stats {
+            if a.has("--stats") {
                 println!("{done}");
             }
             if status != "ok" {
@@ -2026,15 +1751,13 @@ fn cmd_client(args: &[String]) -> i32 {
         }
         last = Some(response);
     }
-    if json {
+    if a.has("--json") {
         match last.as_ref().and_then(|r| r.result.as_ref()) {
-            Some(result) => match std::str::from_utf8(result) {
-                Ok(doc) => println!("{doc}"),
-                Err(_) => {
-                    eprintln!("result document is not UTF-8");
-                    return EXIT_RUNTIME;
-                }
-            },
+            Some(result) => {
+                let doc = std::str::from_utf8(result)
+                    .map_err(|_| fail(EXIT_RUNTIME, "result document is not UTF-8"))?;
+                println!("{doc}");
+            }
             None => {
                 eprintln!("no result document to print");
                 if worst == EXIT_OK {
@@ -2044,13 +1767,12 @@ fn cmd_client(args: &[String]) -> i32 {
         }
     }
     if shutdown {
-        if let Err(e) = client.shutdown() {
-            eprintln!("shutdown failed: {e}");
-            return EXIT_RUNTIME;
-        }
+        client
+            .shutdown()
+            .map_err(|e| fail(EXIT_RUNTIME, format!("shutdown failed: {e}")))?;
         eprintln!("server acknowledged shutdown");
     }
-    worst
+    Ok(worst)
 }
 
 fn summarize(res: &TaskResult) -> String {
@@ -2118,16 +1840,77 @@ fn summarize(res: &TaskResult) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{HELP, VERBS};
+    use super::{help, parse, VERBS};
+
+    fn args(verb: &str, argv: &[&str]) -> super::Args {
+        let verb = VERBS.iter().find(|v| v.name == verb).expect("a verb");
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        parse(verb, &argv).expect("a valid command line")
+    }
 
     #[test]
     fn help_lists_every_verb() {
+        let help = help();
         for verb in VERBS {
             assert!(
-                HELP.contains(&format!("crash-resist {verb}")),
-                "HELP must document verb {verb:?}"
+                help.contains(&format!("crash-resist {}", verb.name)),
+                "help must document verb {:?}",
+                verb.name
             );
         }
+    }
+
+    #[test]
+    fn table_rows_are_well_formed() {
+        let mut names: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), VERBS.len(), "verb names are unique");
+        for verb in VERBS {
+            let mut flags: Vec<&str> = verb.flags().map(|f| f.name).collect();
+            assert!(flags.iter().all(|f| f.starts_with("--")), "{}", verb.name);
+            flags.sort_unstable();
+            flags.dedup();
+            assert_eq!(
+                flags.len(),
+                verb.flags().count(),
+                "{} repeats a flag",
+                verb.name
+            );
+            for (operand, _) in verb.operands {
+                assert!(
+                    operand.starts_with('<') || operand.starts_with('['),
+                    "{operand}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_defaults_match_the_library_defaults() {
+        let campaign = super::engine_config(&args("campaign", &[])).unwrap();
+        let engine = cr_campaign::EngineConfig::default();
+        assert_eq!(campaign.jobs, engine.jobs);
+        assert_eq!(campaign.deadline_ms, Some(cr_campaign::DEFAULT_DEADLINE_MS));
+        let serve = super::serve_config(&args("serve", &[])).unwrap();
+        let want = cr_serve::ServeConfig::default();
+        assert_eq!(serve.addr, want.addr);
+        assert_eq!(serve.jobs, want.jobs);
+        assert_eq!(serve.retries, want.retries);
+        assert_eq!(serve.deadline_ms, want.deadline_ms);
+        assert_eq!(serve.request_deadline_ms, want.request_deadline_ms);
+        assert_eq!(serve.admit_capacity, want.admit_capacity);
+    }
+
+    #[test]
+    fn last_flag_wins_and_zero_deadline_means_none() {
+        let a = args(
+            "campaign",
+            &["--jobs", "2", "--jobs", "3", "--deadline-ms", "0"],
+        );
+        let cfg = super::engine_config(&a).unwrap();
+        assert_eq!(cfg.jobs, 3);
+        assert_eq!(cfg.deadline_ms, None);
     }
 
     #[test]

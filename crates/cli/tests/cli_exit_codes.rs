@@ -34,6 +34,25 @@ fn help_paths_exit_zero() {
 }
 
 #[test]
+fn verb_help_comes_from_the_flag_table() {
+    for verb in [
+        "discover", "analyze", "explore", "cfg", "scan", "funnel", "poc", "campaign", "arena",
+        "chaos", "serve", "fleet", "client", "report", "list",
+    ] {
+        let (code, stdout, _) = run(&[verb, "--help"]);
+        assert_eq!(code, 0, "{verb} --help");
+        assert!(
+            stdout.contains(&format!("crash-resist {verb}")),
+            "{verb} --help: {stdout}"
+        );
+    }
+    // Each verb prints its own flags only.
+    let (_, serve, _) = run(&["serve", "--help"]);
+    assert!(serve.contains("--capacity"), "{serve}");
+    assert!(!serve.contains("--workers"), "{serve}");
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let cases: &[&[&str]] = &[
         &["bogus-verb"],
@@ -54,6 +73,12 @@ fn usage_errors_exit_two() {
         // --summary-json and --plan are chaos-only; arena must reject them.
         &["arena", "--summary-json"],
         &["arena", "--plan", "mayhem"],
+        // Positional verbs reject surplus operands and unknown flags.
+        &["discover", "nginx", "extra"],
+        &["funnel", "10", "extra"],
+        &["poc", "ie", "1000", "extra"],
+        &["discover", "--bogus"],
+        &["cfg", "nginx", "--json"],
     ];
     for args in cases {
         let (code, _, stderr) = run(args);
