@@ -15,10 +15,11 @@
 //!   config descriptor (strategy, seed, rounds, filter module): no
 //!   probe simulation.
 //!
-//! Each is one generic [`Table`] (a map plus hit/miss counters) of a
-//! [`Record`] type, which names its table, the `kind` tag of its lines
-//! and its payload field; the serde shim's derives encode and decode
-//! the payload.
+//! Each is one generic [`Table`] of a [`Record`] type, which names its
+//! table, the `kind` tag of its lines and its payload field; the serde
+//! shim's derives encode and decode the payload. Hits and misses are
+//! counted per thread, inside a [`tally_lookups`] scope, never in the
+//! shared cache: a run's counts are the lookups its own attempts made.
 //!
 //! With `--cache DIR` the cache persists as [`CACHE_FILE`], one
 //! `{"kind":K,"key":KEY,FIELD:PAYLOAD}` entry per line: the filter,
@@ -41,10 +42,10 @@ use cr_arena::ArenaSummary;
 use cr_core::seh::VerdictCache;
 use cr_symex::FilterVerdict;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Name of the persisted cache file inside `--cache DIR`.
@@ -121,9 +122,10 @@ impl ScanSummary {
     }
 }
 
-/// A point-in-time copy of the cache's hit/miss counters, for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
-pub struct CacheStatsSnapshot {
+/// Hit/miss counts of the lookups one [`tally_lookups`] scope made, for
+/// reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+pub struct CacheCounts {
     /// Filter-verdict lookups served from the cache.
     pub filter_hits: u64,
     /// Filter-verdict lookups that fell through to symbolic execution.
@@ -146,7 +148,7 @@ pub struct CacheStatsSnapshot {
     pub image_misses: u64,
 }
 
-impl CacheStatsSnapshot {
+impl CacheCounts {
     /// Hit fraction over the four persistent tables; 0.0 when nothing
     /// was looked up. Image traffic is excluded: the resident artifact
     /// table lives in process memory only, so a fresh process always
@@ -156,22 +158,86 @@ impl CacheStatsSnapshot {
         let misses = self.filter_misses + self.module_misses + self.scan_misses + self.arena_misses;
         hits as f64 / (hits + misses).max(1) as f64
     }
+
+    fn count(&mut self, table: Lookup, hit: bool) {
+        let [hits, misses] = match table {
+            Lookup::Filter => [&mut self.filter_hits, &mut self.filter_misses],
+            Lookup::Module => [&mut self.module_hits, &mut self.module_misses],
+            Lookup::Scan => [&mut self.scan_hits, &mut self.scan_misses],
+            Lookup::Arena => [&mut self.arena_hits, &mut self.arena_misses],
+            Lookup::Image => [&mut self.image_hits, &mut self.image_misses],
+        };
+        *if hit { hits } else { misses } += 1;
+    }
 }
 
-/// One keyed table: a map plus its hit/miss counters, shared across
-/// worker threads. Lookups clone the value out under a short lock.
+impl std::ops::AddAssign for CacheCounts {
+    fn add_assign(&mut self, o: CacheCounts) {
+        self.filter_hits += o.filter_hits;
+        self.filter_misses += o.filter_misses;
+        self.module_hits += o.module_hits;
+        self.module_misses += o.module_misses;
+        self.scan_hits += o.scan_hits;
+        self.scan_misses += o.scan_misses;
+        self.arena_hits += o.arena_hits;
+        self.arena_misses += o.arena_misses;
+        self.image_hits += o.image_hits;
+        self.image_misses += o.image_misses;
+    }
+}
+
+/// The table a lookup went to.
+#[derive(Debug, Clone, Copy)]
+enum Lookup {
+    Filter,
+    Module,
+    Scan,
+    Arena,
+    Image,
+}
+
+thread_local! {
+    /// The open [`tally_lookups`] scope of this thread.
+    static TALLY: Cell<Option<CacheCounts>> = const { Cell::new(None) };
+}
+
+/// Run `f` and count the cache lookups it makes on this thread.
+/// Lookups by other threads never show in the counts, so two requests
+/// sharing one cache each see only their own hits and misses.
+///
+/// Scopes nest: when this one closes, also if `f` panics, its counts
+/// fold into the enclosing scope.
+pub fn tally_lookups<R>(f: impl FnOnce() -> R) -> (R, CacheCounts) {
+    struct Close(Option<CacheCounts>);
+    impl Drop for Close {
+        fn drop(&mut self) {
+            let inner = TALLY.with(Cell::take).unwrap_or_default();
+            let outer = self.0.take().map(|mut outer| {
+                outer += inner;
+                outer
+            });
+            TALLY.with(|t| t.set(outer));
+        }
+    }
+    let _close = Close(TALLY.with(|t| t.replace(Some(CacheCounts::default()))));
+    let out = f();
+    (out, TALLY.with(Cell::get).unwrap_or_default())
+}
+
+/// One keyed table, shared across worker threads. Lookups clone the
+/// value out under a short lock and count in the caller's
+/// [`tally_lookups`] scope.
 #[derive(Debug)]
 pub struct Table<V> {
     map: Mutex<HashMap<String, V>>,
-    /// `[hits, misses]`.
-    counts: [AtomicU64; 2],
+    lookup: Lookup,
 }
 
-impl<V> Default for Table<V> {
-    fn default() -> Self {
+impl<V> Table<V> {
+    fn new(lookup: Lookup) -> Table<V> {
         Table {
             map: Mutex::default(),
-            counts: Default::default(),
+            lookup,
         }
     }
 }
@@ -179,16 +245,17 @@ impl<V> Default for Table<V> {
 impl<V: Clone> Table<V> {
     fn get(&self, key: &str) -> Option<V> {
         let hit = self.map.lock().unwrap().get(key).cloned();
-        self.counts[usize::from(hit.is_none())].fetch_add(1, Ordering::Relaxed);
+        TALLY.with(|t| {
+            if let Some(mut counts) = t.get() {
+                counts.count(self.lookup, hit.is_some());
+                t.set(Some(counts));
+            }
+        });
         hit
     }
 
     fn put(&self, key: &str, value: V) {
         self.map.lock().unwrap().insert(key.to_string(), value);
-    }
-
-    fn counts(&self) -> [u64; 2] {
-        self.counts.each_ref().map(|c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -223,7 +290,6 @@ records! {
 
 /// The campaign-wide analysis cache. One short-held `Mutex` per table:
 /// lookups are rare next to the analyses they save.
-#[derive(Default)]
 pub struct AnalysisCache {
     filters: Table<FilterVerdict>,
     modules: Table<SehSummary>,
@@ -232,6 +298,19 @@ pub struct AnalysisCache {
     /// Resident parsed images by module name (see [`ImageArtifact`]).
     images: Table<Arc<ImageArtifact>>,
     quarantined: u64,
+}
+
+impl Default for AnalysisCache {
+    fn default() -> Self {
+        AnalysisCache {
+            filters: Table::new(Lookup::Filter),
+            modules: Table::new(Lookup::Module),
+            scans: Table::new(Lookup::Scan),
+            arenas: Table::new(Lookup::Arena),
+            images: Table::new(Lookup::Image),
+            quarantined: 0,
+        }
+    }
 }
 
 impl AnalysisCache {
@@ -387,7 +466,8 @@ impl AnalysisCache {
         Ok(())
     }
 
-    /// Look up a record by key, counting the hit or miss.
+    /// Look up a record by key, counting the hit or miss in this
+    /// thread's [`tally_lookups`] scope.
     pub fn get<V: Record>(&self, key: &str) -> Option<V> {
         V::table(self).get(key)
     }
@@ -421,27 +501,6 @@ impl AnalysisCache {
         });
         self.images.put(module, artifact.clone());
         artifact
-    }
-
-    /// Current hit/miss counters.
-    pub fn stats(&self) -> CacheStatsSnapshot {
-        let [filter_hits, filter_misses] = self.filters.counts();
-        let [module_hits, module_misses] = self.modules.counts();
-        let [scan_hits, scan_misses] = self.scans.counts();
-        let [arena_hits, arena_misses] = self.arenas.counts();
-        let [image_hits, image_misses] = self.images.counts();
-        CacheStatsSnapshot {
-            filter_hits,
-            filter_misses,
-            module_hits,
-            module_misses,
-            scan_hits,
-            scan_misses,
-            arena_hits,
-            arena_misses,
-            image_hits,
-            image_misses,
-        }
     }
 }
 
@@ -762,17 +821,18 @@ mod tests {
     fn stats_track_hits_and_misses() {
         let cache = AnalysisCache::new();
         sample_tables(&cache);
-        assert!(cache.get::<FilterVerdict>("x64:aaaa").is_some());
-        assert!(cache.get::<FilterVerdict>("x64:unknown").is_none());
-        assert!(cache.get::<SehSummary>("deadbeef").is_some());
-        assert!(cache.get::<SehSummary>("feedface").is_none());
-        assert!(cache.get::<ScanSummary>("feedc0de").is_some());
-        assert!(cache.get::<ScanSummary>("00000000").is_none());
-        assert!(cache
-            .get::<ArenaSummary>("stealth:s2017:r3:vsftpd")
-            .is_some());
-        assert!(cache.get::<ArenaSummary>("linear:s0:r0:none").is_none());
-        let s = cache.stats();
+        let ((), s) = tally_lookups(|| {
+            assert!(cache.get::<FilterVerdict>("x64:aaaa").is_some());
+            assert!(cache.get::<FilterVerdict>("x64:unknown").is_none());
+            assert!(cache.get::<SehSummary>("deadbeef").is_some());
+            assert!(cache.get::<SehSummary>("feedface").is_none());
+            assert!(cache.get::<ScanSummary>("feedc0de").is_some());
+            assert!(cache.get::<ScanSummary>("00000000").is_none());
+            assert!(cache
+                .get::<ArenaSummary>("stealth:s2017:r3:vsftpd")
+                .is_some());
+            assert!(cache.get::<ArenaSummary>("linear:s0:r0:none").is_none());
+        });
         assert_eq!((s.filter_hits, s.filter_misses), (1, 1));
         assert_eq!((s.module_hits, s.module_misses), (1, 1));
         assert_eq!((s.scan_hits, s.scan_misses), (1, 1));
@@ -781,19 +841,59 @@ mod tests {
     }
 
     #[test]
+    fn tally_scopes_nest_and_ignore_other_threads() {
+        let cache = AnalysisCache::new();
+        sample_tables(&cache);
+        let (inner, outer) = tally_lookups(|| {
+            cache.get::<SehSummary>("deadbeef");
+            // Another thread's lookups, made while this scope is open,
+            // belong to nobody here.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    cache.get::<SehSummary>("deadbeef");
+                    cache.get::<FilterVerdict>("x64:none");
+                });
+            });
+            let ((), inner) = tally_lookups(|| {
+                cache.get::<FilterVerdict>("x64:aaaa");
+            });
+            inner
+        });
+        assert_eq!(
+            inner,
+            CacheCounts {
+                filter_hits: 1,
+                ..CacheCounts::default()
+            }
+        );
+        assert_eq!(
+            outer,
+            CacheCounts {
+                filter_hits: 1,
+                module_hits: 1,
+                ..CacheCounts::default()
+            }
+        );
+        // Outside any scope a lookup counts nowhere.
+        assert!(cache.get::<SehSummary>("deadbeef").is_some());
+        assert_eq!(tally_lookups(|| ()).1, CacheCounts::default());
+    }
+
+    #[test]
     fn image_artifacts_are_shared_and_counted() {
         let cache = AnalysisCache::new();
-        assert!(cache.get_image("nginx.exe").is_none());
         let spec = cr_targets::browsers::full_population_specs()
             .into_iter()
             .next()
             .expect("non-empty population");
         let img = cr_targets::browsers::generate_dll(&spec);
-        let put = cache.put_image("nginx.exe", "cafebabe", img);
-        let got = cache.get_image("nginx.exe").expect("resident image");
+        let ((put, got), s) = tally_lookups(|| {
+            assert!(cache.get_image("nginx.exe").is_none());
+            let put = cache.put_image("nginx.exe", "cafebabe", img);
+            (put, cache.get_image("nginx.exe").expect("resident image"))
+        });
         assert!(std::sync::Arc::ptr_eq(&put, &got));
         assert_eq!(got.hash, "cafebabe");
-        let s = cache.stats();
         assert_eq!((s.image_hits, s.image_misses), (1, 1));
         // Image traffic is resident-only and stays out of the
         // persistent-cache hit rate.

@@ -22,7 +22,9 @@
 //! injects the same faults at any `--jobs` count —
 //! [`expected_error_counts`] predicts the per-class totals exactly.
 
-use crate::cache::{AnalysisCache, ScanSummary, SehSummary, SharedVerdictCache};
+use crate::cache::{
+    tally_lookups, AnalysisCache, CacheCounts, ScanSummary, SehSummary, SharedVerdictCache,
+};
 use crate::error::{ErrorCounts, TaskError, TaskErrorKind};
 use crate::metrics::CampaignMetrics;
 use crate::pool::{run_pool, PoolConfig, TaskCtx, DEFAULT_DEADLINE_MS};
@@ -253,7 +255,6 @@ pub fn run_campaign_with_cache(
     cache: &AnalysisCache,
 ) -> CampaignReport {
     let quarantined = cache.quarantined();
-    let cache_before = cache.stats();
     let injector = cfg.injector.as_deref();
     let labels: Vec<(String, TaskKind)> =
         spec.tasks.iter().map(|t| (t.label(), t.kind())).collect();
@@ -273,21 +274,27 @@ pub fn run_campaign_with_cache(
     // deterministic event sequence must not vary with `--jobs`.
     let mut pool_span = cr_trace::span(cr_trace::Stage::Schedule, "pool");
     pool_span.set_detail(|| format!("tasks={}", spec.tasks.len()));
-    // Each attempt tallies the solver work of its own worker thread, so
-    // the run's counts are exactly its attempts' work, whatever else
-    // the process runs. An attempt that panics contributes nothing.
-    let work = Mutex::new(SolverCounters::default());
+    // Each attempt tallies the solver work and cache lookups of its own
+    // worker thread, so the run's counts are exactly its attempts' work,
+    // whatever else the process runs. An attempt that panics contributes
+    // nothing.
+    let work = Mutex::new((SolverCounters::default(), CacheCounts::default()));
     let execs = run_pool(&pool_cfg, spec.tasks.len(), |ctx| {
         // Identity goes into the detail up front so an unwinding panic
         // still leaves an attributable span; the outcome is appended
         // only when the attempt returns normally.
         let mut span = cr_trace::span(cr_trace::Stage::Schedule, "attempt");
         span.set_detail(|| labels[ctx.index].0.clone());
-        let (outcome, spent) =
-            cr_symex::tally_work(|| execute_task(&spec.tasks[ctx.index], cache, injector, ctx));
-        *work
-            .lock()
-            .expect("no attempt panics while holding the tally") += spent;
+        let ((outcome, lookups), spent) = cr_symex::tally_work(|| {
+            tally_lookups(|| execute_task(&spec.tasks[ctx.index], cache, injector, ctx))
+        });
+        {
+            let mut total = work
+                .lock()
+                .expect("no attempt panics while holding the tally");
+            total.0 += spent;
+            total.1 += lookups;
+        }
         span.append_detail(|| match &outcome {
             Ok(_) => "ok".into(),
             Err(e) => format!("err={}", e.kind.name()),
@@ -314,25 +321,15 @@ pub fn run_campaign_with_cache(
     }
     errors.add(TaskErrorKind::CacheCorrupt, quarantined);
     let degraded = records.iter().any(|r| r.result.is_none());
-    let cache_now = cache.stats();
+    let (solver, lookups) = work
+        .into_inner()
+        .expect("no attempt panics while holding the tally");
     let metrics = CampaignMetrics::from_executions(
         cfg.jobs.max(1),
         total_wall_us,
-        work.into_inner()
-            .expect("no attempt panics while holding the tally"),
+        solver,
         quarantined,
-        crate::cache::CacheStatsSnapshot {
-            filter_hits: cache_now.filter_hits - cache_before.filter_hits,
-            filter_misses: cache_now.filter_misses - cache_before.filter_misses,
-            module_hits: cache_now.module_hits - cache_before.module_hits,
-            module_misses: cache_now.module_misses - cache_before.module_misses,
-            scan_hits: cache_now.scan_hits - cache_before.scan_hits,
-            scan_misses: cache_now.scan_misses - cache_before.scan_misses,
-            arena_hits: cache_now.arena_hits - cache_before.arena_hits,
-            arena_misses: cache_now.arena_misses - cache_before.arena_misses,
-            image_hits: cache_now.image_hits - cache_before.image_hits,
-            image_misses: cache_now.image_misses - cache_before.image_misses,
-        },
+        lookups,
         &labels,
         &execs,
     );

@@ -56,7 +56,7 @@ pub mod spec;
 
 pub use builder::{CampaignSpecBuilder, SpecError};
 pub use cache::{
-    crc32, AnalysisCache, CacheStatsSnapshot, ImageArtifact, ScanSummary, SehSummary,
+    crc32, tally_lookups, AnalysisCache, CacheCounts, ImageArtifact, ScanSummary, SehSummary,
     SharedVerdictCache, CACHE_FILE, QUARANTINE_FILE,
 };
 pub use engine::{

@@ -6,7 +6,7 @@
 //! run. [`crate::engine::CampaignReport::results_json`] serializes only
 //! the deterministic half.
 
-use crate::cache::CacheStatsSnapshot;
+use crate::cache::CacheCounts;
 use crate::error::TaskErrorKind;
 use crate::pool::TaskExecution;
 use crate::spec::TaskKind;
@@ -71,8 +71,9 @@ pub struct CampaignMetrics {
     pub paths_pruned: u64,
     /// Cache lines quarantined while loading `--cache DIR`.
     pub quarantined: u64,
-    /// Cache hit/miss counters for this run.
-    pub cache: CacheStatsSnapshot,
+    /// Cache hits and misses of this run's attempts, each attempt
+    /// tallied on its own worker thread.
+    pub cache: CacheCounts,
     /// Per-task rows, in spec order.
     pub tasks: Vec<TaskMetrics>,
 }
@@ -84,7 +85,7 @@ impl CampaignMetrics {
         total_wall_us: u64,
         solver: SolverCounters,
         quarantined: u64,
-        cache: CacheStatsSnapshot,
+        cache: CacheCounts,
         labels: &[(String, TaskKind)],
         execs: &[TaskExecution<T>],
     ) -> CampaignMetrics {

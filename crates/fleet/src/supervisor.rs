@@ -4,7 +4,7 @@
 //! ephemeral port — the same frames a remote node would speak, so the
 //! supervision protocol is exactly what a multi-host deployment uses.
 //! Health is judged by *serving-phase* liveness, not process
-//! liveness: a Pong that shows queued work, an idle executor, and a
+//! liveness: a Pong that shows queued work, no executor running, and a
 //! stalled completion counter across consecutive heartbeats counts as
 //! a miss just like a dead socket does. A worker past the miss
 //! threshold is killed and restarted with exponential backoff; one
@@ -278,7 +278,7 @@ impl Supervisor {
         }
         match probe {
             Ok((client, pong)) if !dropped => {
-                // Serving-phase wedge: work queued, executor idle, and
+                // Serving-phase wedge: work queued, every executor idle, and
                 // no completion progress since the last pong.
                 let wedged = pong.queue_len > 0
                     && !pong.executing

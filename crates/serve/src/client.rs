@@ -68,9 +68,9 @@ impl Response {
 /// One serving-phase heartbeat answer (a parsed Pong payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pong {
-    /// Admitted jobs waiting on the executor.
+    /// Admitted jobs waiting for an executor.
     pub queue_len: u64,
-    /// Whether the executor is inside a campaign right now.
+    /// Whether any executor is inside a campaign right now.
     pub executing: bool,
     /// Requests answered with a final Done frame so far.
     pub completed: u64,

@@ -12,7 +12,7 @@
 //! * [`proto`] — a length-prefixed, versioned, CRC-checked frame
 //!   protocol over TCP, with graceful version negotiation;
 //! * [`server`] — the daemon: bounded admission queue, one executor
-//!   feeding the `cr-campaign` pool, process-wide warm state shared
+//!   per core feeding the `cr-campaign` pool, process-wide warm state shared
 //!   across requests (verdicts, module summaries, resident parsed
 //!   images, the solver memo), per-request deadlines and
 //!   cancellation, `Busy{retry_after}` backpressure, graceful drain

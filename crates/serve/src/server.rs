@@ -1,14 +1,16 @@
 //! The resident analysis server.
 //!
 //! One [`Server`] owns a [`std::net::TcpListener`], a pool of
-//! connection reader threads, one executor thread, and the
-//! process-wide warm state: a single
+//! connection reader threads, one executor thread per available core,
+//! and the process-wide warm state: a single
 //! [`cr_campaign::AnalysisCache`] shared by every request (filter
 //! verdicts, module summaries, resident parsed images) plus the
 //! `cr-symex` normalized-query memo, which is process-global already.
 //! The Nth request for a module therefore does zero image generation,
-//! zero parsing, and zero solver calls. The solver counts in a `Done`
-//! frame are that request's own campaign metrics.
+//! zero parsing, and zero solver calls. The solver counts, cache hits
+//! and `parse` class in a `Done` frame are that request's own campaign
+//! metrics, tallied per attempt on the threads that ran it, so
+//! concurrent requests never show in each other's frames.
 //!
 //! ## Admission and backpressure
 //!
@@ -16,10 +18,12 @@
 //! ([`ServeConfig::admit_capacity`]). A request arriving at a full
 //! queue is answered immediately with a [`FrameKind::Busy`] frame
 //! carrying `retry_after_ms` — explicit backpressure instead of
-//! unbounded buffering. Admitted requests execute strictly in
-//! admission order on the executor thread; the campaign inside a
-//! request still fans out over the `cr-campaign` work-stealing pool
-//! (`jobs` option).
+//! unbounded buffering. Admitted requests start strictly in admission
+//! order, each on the next free executor. There is one executor per
+//! core ([`std::thread::available_parallelism`]; a 1-core host keeps a
+//! single one), so a warm lookup does not wait behind another client's
+//! compute. The campaign inside a request still fans out over the
+//! `cr-campaign` work-stealing pool (`jobs` option).
 //!
 //! ## Cancellation, deadlines and drain
 //!
@@ -46,7 +50,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -192,7 +196,7 @@ impl Counters {
 
 /// The response side of one connection: serialized frame writes with
 /// the serve-layer fault sites threaded through. Shared between the
-/// connection's reader thread and the executor (a request may outlive
+/// connection's reader thread and the executors (a request may outlive
 /// its reader).
 struct ConnWriter {
     stream: Mutex<TcpStream>,
@@ -289,15 +293,15 @@ struct Shared {
     /// `shutdown` there is no drain — sockets are severed, queued jobs
     /// are abandoned, the warm cache is *not* persisted.
     killed: AtomicBool,
-    /// Whether the executor is inside a campaign right now; carried in
-    /// `Pong` so a supervisor can judge serving-phase liveness.
-    executor_busy: AtomicBool,
+    /// Executors inside a campaign right now; `Pong` reports whether
+    /// any is, so a supervisor can judge serving-phase liveness.
+    executing: AtomicUsize,
     /// One cloned socket per live connection, keyed by conn id, so
     /// `kill` can sever them out from under both reader and writer;
     /// each entry is removed when its connection's reader exits.
     conns: Mutex<HashMap<u64, TcpStream>>,
     counters: Arc<Counters>,
-    /// `(conn_id, request_id) -> times the executor started the
+    /// `(conn_id, request_id) -> times an executor started the
     /// campaign`. The no-double-execution invariant: every value is 1.
     /// Entries for closed connections are retired into the
     /// `exec_retired` / `exec_violations` counters so the ledger stays
@@ -366,7 +370,7 @@ impl ServerHandle {
     pub fn kill(&self) {
         self.0.killed.store(true, Ordering::Relaxed);
         self.0.shutdown.store(true, Ordering::Relaxed);
-        // Abort whatever the executor is inside of.
+        // Abort whatever the executors are inside of.
         for cancel in self.0.inflight.lock().unwrap().values() {
             cancel.store(true, Ordering::Relaxed);
         }
@@ -388,7 +392,8 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    owns_trace: bool,
+    /// Executor threads [`Server::run`] starts: one per available core.
+    executors: usize,
 }
 
 impl Server {
@@ -403,10 +408,6 @@ impl Server {
             Some(dir) => AnalysisCache::load(dir)?,
             None => AnalysisCache::new(),
         };
-        // The server owns a process-wide trace session (unless an
-        // embedding test already started one): each request is scoped
-        // with `begin_run` + `drain`, sourcing its Progress events.
-        let owns_trace = cr_trace::start();
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -416,13 +417,13 @@ impl Server {
                 queue_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 killed: AtomicBool::new(false),
-                executor_busy: AtomicBool::new(false),
+                executing: AtomicUsize::new(0),
                 conns: Mutex::new(HashMap::new()),
                 counters: Arc::new(Counters::default()),
                 executions: Mutex::new(HashMap::new()),
                 inflight: Mutex::new(HashMap::new()),
             }),
-            owns_trace,
+            executors: std::thread::available_parallelism().map_or(1, |n| n.get()),
         })
     }
 
@@ -449,8 +450,12 @@ impl Server {
     /// Accept-loop I/O failure or an unwritable cache directory at
     /// drain time.
     pub fn run(self) -> io::Result<ServeStats> {
-        let exec_shared = self.shared.clone();
-        let executor = std::thread::spawn(move || run_executor(&exec_shared));
+        let executors: Vec<_> = (0..self.executors)
+            .map(|_| {
+                let shared = self.shared.clone();
+                std::thread::spawn(move || run_executor(&shared))
+            })
+            .collect();
         let mut conn_threads = Vec::new();
         let mut next_conn_id = 0u64;
         self.listener.set_nonblocking(true)?;
@@ -479,11 +484,12 @@ impl Server {
                 Err(e) => return Err(e),
             }
         }
-        // Drain: the executor finishes every admitted job before it
-        // exits; reader threads notice the flag at their next idle
-        // poll.
+        // Drain: the executors finish every admitted job before they
+        // exit; reader threads notice the flag at their next idle poll.
         self.shared.queue_cv.notify_all();
-        let _ = executor.join();
+        for t in executors {
+            let _ = t.join();
+        }
         for t in conn_threads {
             let _ = t.join();
         }
@@ -496,9 +502,6 @@ impl Server {
                 // is what fleet replication exists to cover.
                 self.shared.cache.save(dir)?;
             }
-        }
-        if self.owns_trace {
-            let _ = cr_trace::finish();
         }
         Ok(self.shared.counters.snapshot())
     }
@@ -597,7 +600,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
 
 /// Retire a closed connection's execution-ledger entries into the
 /// retired/violation counters, so the ledger stays bounded by live
-/// connections. Entries still in flight are left for the executor,
+/// connections. Entries still in flight are left for their executor,
 /// which retires them when it finishes (the connection is gone by
 /// then).
 fn retire_conn_executions(shared: &Shared, conn_id: u64) {
@@ -725,7 +728,7 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream, reader_stream: &TcpStream,
                 // loop* is doing so a supervisor can tell "alive but
                 // wedged" from "alive and draining its queue".
                 let queue_len = shared.queue.lock().unwrap().len();
-                let executing = shared.executor_busy.load(Ordering::Relaxed);
+                let executing = shared.executing.load(Ordering::Relaxed) > 0;
                 let completed = shared.counters.requests_completed.load(Ordering::Relaxed);
                 let draining = shared.shutdown.load(Ordering::Relaxed);
                 shared
@@ -883,7 +886,7 @@ fn handle_request(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, conn_id: u64, 
     shared.queue_cv.notify_one();
 }
 
-/// The executor loop: pop admitted jobs in order, run each campaign
+/// One executor's loop: pop the oldest admitted job, run its campaign
 /// against the shared warm cache, stream the response. Exits once the
 /// queue is empty *and* shutdown was requested — that is the drain.
 fn run_executor(shared: &Arc<Shared>) {
@@ -949,7 +952,6 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) {
         "{\"event\":\"running\"}",
     ));
 
-    cr_trace::begin_run(&job.spec.name);
     // Per-request wall deadline: a watchdog flips the same abort flag
     // a Cancel frame does; the campaign pool then fails unstarted
     // tasks fast as `cancelled`.
@@ -979,28 +981,14 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) {
         abort: Some(job.cancel.clone()),
     };
     let started = Instant::now();
-    shared.executor_busy.store(true, Ordering::Relaxed);
+    shared.executing.fetch_add(1, Ordering::Relaxed);
     let report = run_campaign_with_cache(&job.spec, &engine_cfg, &shared.cache);
-    shared.executor_busy.store(false, Ordering::Relaxed);
+    shared.executing.fetch_sub(1, Ordering::Relaxed);
     done.store(true, Ordering::Relaxed);
     if let Some(w) = watchdog {
         let _ = w.join();
     }
     let wall_us = started.elapsed().as_micros() as u64;
-
-    // Scope this request's trace events out of the session and
-    // summarize the advisory solver traffic for the client.
-    let trace = cr_trace::drain();
-    job.writer.send(&Frame::text(
-        FrameKind::Progress,
-        job.request_id,
-        format!(
-            "{{\"event\":\"trace\",\"events\":{},\"solver_spans\":{},\"parse_spans\":{}}}",
-            trace.events.len(),
-            trace.count_events(cr_trace::Stage::Symex, "solver.check"),
-            trace.count_events(cr_trace::Stage::Parse, "pe.parse"),
-        ),
-    ));
 
     // The deterministic document travels verbatim: its bytes must
     // equal a one-shot `crash-resist campaign` run of the same spec.
@@ -1121,6 +1109,61 @@ mod tests {
         assert_eq!(stats.conns_accepted, 5);
         assert_eq!(stats.exec_retired, 1);
         assert_eq!(stats.exec_violations, 0);
+    }
+
+    /// A negotiated raw connection, for pipelining a Cancel behind a
+    /// Request the blocking client would wait on.
+    fn raw_conn(addr: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let hello = Frame::text(FrameKind::Hello, 0, crate::proto::hello_payload());
+        crate::proto::write_frame(&mut stream, &hello).unwrap();
+        let ack = read_frame(&mut stream).expect("HelloAck");
+        assert_eq!(ack.kind, FrameKind::HelloAck);
+        stream
+    }
+
+    #[test]
+    fn pong_reports_executing_while_any_executor_runs() {
+        let mut server = Server::bind(ServeConfig::default()).expect("bind");
+        server.executors = 2;
+        let addr = server.local_addr().unwrap().to_string();
+        let runner = std::thread::spawn(move || server.run().expect("drain"));
+
+        // A long request (many short tasks, so a Cancel lands fast)...
+        let tasks = vec![r#"{"PocScan":"ie"}"#; 400].join(",");
+        let long_spec = format!(r#"{{"name":"serve-long","seed":7,"tasks":[{tasks}]}}"#);
+        let mut long = raw_conn(&addr);
+        let request = Frame::text(FrameKind::Request, 1, long_spec);
+        crate::proto::write_frame(&mut long, &request).unwrap();
+        let mut probe = Client::connect(&addr).expect("connect");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !probe.ping().expect("ping").executing {
+            assert!(Instant::now() < deadline, "the long request never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        // ...overlapped by a short one on the other executor. When the
+        // short one finishes, the long one still runs.
+        let short = probe.request(SPEC).expect("short request");
+        assert_eq!(short.done_str("status").as_deref(), Some("ok"));
+        let pong = probe.ping().expect("ping");
+        assert!(pong.executing, "one executor still runs: {pong:?}");
+
+        let cancel = Frame::text(FrameKind::Cancel, 1, "{}");
+        crate::proto::write_frame(&mut long, &cancel).unwrap();
+        let done = loop {
+            let frame = read_frame(&mut long).expect("long request frames");
+            if frame.kind == FrameKind::Done {
+                break frame.payload_str();
+            }
+        };
+        assert!(done.contains("\"status\":\"cancelled\""), "done={done}");
+        let pong = probe.ping().expect("ping");
+        assert!(!pong.executing, "both requests are done: {pong:?}");
+        probe.shutdown().expect("shutdown ack");
+        drop(long);
+        let stats = runner.join().unwrap();
+        assert_eq!((stats.requests_executed, stats.exec_violations), (2, 0));
     }
 
     #[test]

@@ -231,32 +231,6 @@ pub fn finish() -> Trace {
     Trace { events, dropped }
 }
 
-/// Take everything collected so far *out of* the active session
-/// without ending it, sorted into the canonical deterministic order.
-///
-/// This is the per-request scoping primitive for long-lived processes:
-/// a resident server starts one session for its whole lifetime, wraps
-/// each request in [`begin_run`], and calls `drain` after the request
-/// completes — the returned [`Trace`] holds exactly the events
-/// collected since the previous drain, and the session keeps running
-/// for the next request. Only the calling thread's ring is flushed
-/// first, so call it from the thread that executed the request (worker
-/// threads flush at task boundaries and thread exit already).
-///
-/// Returns an empty [`Trace`] when no session is active.
-pub fn drain() -> Trace {
-    if !enabled() {
-        return Trace::default();
-    }
-    let _ = local_with(|l| l.flush());
-    let mut s = session();
-    let mut events = std::mem::take(&mut s.events);
-    let dropped = std::mem::take(&mut s.dropped);
-    drop(s);
-    events.sort_by_key(Event::sort_key);
-    Trace { events, dropped }
-}
-
 /// Mark the start of a campaign run within the session, returning its
 /// run index. Subsequent events carry that index until the next
 /// `begin_run`. Emits a deterministic `schedule`/`run.begin` event.
@@ -534,38 +508,6 @@ mod tests {
             t.events.iter().find(|e| e.task == Some(3)).map(|e| e.seq),
             Some(0)
         );
-    }
-
-    /// `drain` hands back what was collected so far and leaves the
-    /// session live for further events — the resident-server pattern.
-    #[test]
-    fn drain_scopes_requests_without_ending_the_session() {
-        let _g = solo();
-        assert!(start());
-        let run_a = begin_run("req-a");
-        emit(Stage::Schedule, "a.work", String::new);
-        let first = drain();
-        assert!(enabled(), "session must stay active across drain");
-        assert_eq!(first.events.len(), 2, "run.begin + a.work");
-        assert!(first.events.iter().all(|e| e.run == run_a));
-
-        let run_b = begin_run("req-b");
-        emit(Stage::Schedule, "b.work", String::new);
-        let second = drain();
-        assert_eq!(second.events.len(), 2, "only events since the last drain");
-        assert!(second.events.iter().all(|e| e.run == run_b));
-        assert_ne!(run_a, run_b, "runs keep distinct indices across drains");
-
-        let rest = finish();
-        assert!(rest.events.is_empty(), "drain left nothing behind");
-    }
-
-    #[test]
-    fn drain_without_session_is_empty() {
-        let _g = solo();
-        let t = drain();
-        assert!(t.events.is_empty());
-        assert_eq!(t.dropped, 0);
     }
 
     #[test]

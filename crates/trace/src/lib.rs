@@ -47,8 +47,8 @@ pub mod ring;
 pub mod trace;
 
 pub use collect::{
-    advance_virtual, begin_run, drain, emit, enabled, finish, flush_local, span, span_advisory,
-    start, start_with_capacity, task_scope, Span, DEFAULT_RING_CAPACITY,
+    advance_virtual, begin_run, emit, enabled, finish, flush_local, span, span_advisory, start,
+    start_with_capacity, task_scope, Span, DEFAULT_RING_CAPACITY,
 };
 pub use envelope::{
     envelope_prefix, ReportEnvelope, ReportEnvelopeBuilder, ReportKind, SCHEMA_VERSION,

@@ -5,6 +5,11 @@
 //! access kind — the raw material of both crash *and* crash-resistance:
 //! the OS personalities decide whether a fault becomes a SIGSEGV, an
 //! `-EFAULT` return, or a SEH dispatch.
+//!
+//! Mapping a page records only its protection. The page's bytes are
+//! allocated on its first store; until then it reads as zeros. Most of
+//! an emulated thread's 1 MiB stack is never written, so a process
+//! costs memory in proportion to what it touches, not what it maps.
 
 use std::collections::HashMap;
 
@@ -132,9 +137,24 @@ impl std::fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
+/// What every mapped, never-written page reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
 struct Page {
     prot: Prot,
-    data: Box<[u8; PAGE_SIZE as usize]>,
+    /// The page's bytes; `None` until the first store.
+    data: Option<Box<[u8; PAGE_SIZE as usize]>>,
+}
+
+impl Page {
+    fn bytes(&self) -> &[u8; PAGE_SIZE as usize] {
+        self.data.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE as usize] {
+        self.data
+            .get_or_insert_with(|| Box::new([0; PAGE_SIZE as usize]))
+    }
 }
 
 /// A 64-bit paged address space.
@@ -194,10 +214,7 @@ impl Memory {
         for pn in first..=last {
             self.pages
                 .entry(pn)
-                .or_insert_with(|| Page {
-                    prot,
-                    data: Box::new([0; PAGE_SIZE as usize]),
-                })
+                .or_insert(Page { prot, data: None })
                 .prot = prot;
         }
     }
@@ -289,7 +306,7 @@ impl Memory {
     /// are unspecified on error.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), Fault> {
         self.access(addr, buf.len() as u64, Access::Read, |page, off, i, n| {
-            buf[i..i + n].copy_from_slice(&page.data[off..off + n]);
+            buf[i..i + n].copy_from_slice(&page.bytes()[off..off + n]);
         })
     }
 
@@ -302,7 +319,7 @@ impl Memory {
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), Fault> {
         self.writes += 1;
         self.access_mut(addr, buf.len() as u64, Access::Write, |page, off, i, n| {
-            page.data[off..off + n].copy_from_slice(&buf[i..i + n]);
+            page.bytes_mut()[off..off + n].copy_from_slice(&buf[i..i + n]);
         })
     }
 
@@ -322,7 +339,7 @@ impl Memory {
             match self.pages.get(&pn) {
                 Some(p) if p.prot.allows(Access::Exec) => {
                     let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-                    buf[done..done + n].copy_from_slice(&p.data[off..off + n]);
+                    buf[done..done + n].copy_from_slice(&p.bytes()[off..off + n]);
                     done += n;
                 }
                 Some(_) if done > 0 => break,
@@ -356,7 +373,7 @@ impl Memory {
         self.generation += 1;
         self.writes += 1;
         self.access_mut(addr, buf.len() as u64, Access::Write, |page, off, i, n| {
-            page.data[off..off + n].copy_from_slice(&buf[i..i + n]);
+            page.bytes_mut()[off..off + n].copy_from_slice(&buf[i..i + n]);
         })
         .or_else(|f| {
             if f.mapped {
@@ -380,7 +397,7 @@ impl Memory {
                 mapped: false,
             })?;
             let n = (buf.len() - i).min(PAGE_SIZE as usize - off);
-            page.data[off..off + n].copy_from_slice(&buf[i..i + n]);
+            page.bytes_mut()[off..off + n].copy_from_slice(&buf[i..i + n]);
             i += n;
         }
         Ok(())
@@ -403,7 +420,7 @@ impl Memory {
                 mapped: false,
             })?;
             let n = (buf.len() - i).min(PAGE_SIZE as usize - off);
-            buf[i..i + n].copy_from_slice(&page.data[off..off + n]);
+            buf[i..i + n].copy_from_slice(&page.bytes()[off..off + n]);
             i += n;
         }
         Ok(())
@@ -646,6 +663,90 @@ mod tests {
         m.map(0x1000, 0x1000, Prot::R); // re-protect via map
         assert_eq!(m.read_u64(0x1000).unwrap(), 42);
         assert!(m.write_u64(0x1000, 1).is_err());
+    }
+
+    /// Pages whose bytes have been allocated (written at least once).
+    fn allocated(m: &Memory) -> usize {
+        m.pages.values().filter(|p| p.data.is_some()).count()
+    }
+
+    #[test]
+    fn unwritten_pages_read_as_zeros() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x3000, Prot::RWX);
+        let mut b = [0xAAu8; 0x3000];
+        m.read(0x1000, &mut b).unwrap();
+        assert!(b.iter().all(|&x| x == 0), "read of an unwritten page");
+        b.fill(0xAA);
+        m.peek(0x1000, &mut b).unwrap();
+        assert!(b.iter().all(|&x| x == 0), "peek of an unwritten page");
+        let mut code = [0xAAu8; 15];
+        assert_eq!(m.fetch(0x1ff8, &mut code).unwrap(), 15);
+        assert_eq!(code, [0; 15], "fetch across two unwritten pages");
+        assert_eq!(allocated(&m), 0, "reads never allocate");
+
+        // A store into the middle page leaves its neighbours zero, also
+        // when one access spans written and unwritten pages.
+        m.write(0x2ffe, &[7, 7]).unwrap();
+        let mut span = [0xAAu8; 6];
+        m.read(0x2ffc, &mut span).unwrap();
+        assert_eq!(span, [0, 0, 7, 7, 0, 0]);
+        m.read(0x1000, &mut b).unwrap();
+        assert!(b[..0x1000].iter().all(|&x| x == 0));
+        assert!(b[0x2000..].iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn a_store_allocates_only_its_own_page() {
+        let mut m = Memory::new();
+        m.map(0x10_0000, 0x10_0000, Prot::RW); // a 1 MiB stack
+        assert_eq!((m.page_count(), allocated(&m)), (256, 0));
+        m.write_u64(0x1f_fff8, 1).unwrap();
+        assert_eq!(allocated(&m), 1);
+        m.write_u64(0x1f_fff0, 2).unwrap();
+        assert_eq!(allocated(&m), 1, "a second store to the same page");
+        m.write(0x1f_effe, &[1, 2, 3]).unwrap();
+        assert_eq!(allocated(&m), 2, "a store spanning into the next page down");
+
+        // A faulting store allocates nothing; a permission-bypassing
+        // poke allocates the page it lands on.
+        m.map(0x30_0000, 0x1000, Prot::R);
+        assert!(m.write_u64(0x30_0000, 1).is_err());
+        assert_eq!(allocated(&m), 2);
+        m.poke(0x30_0000, &[9]).unwrap();
+        assert_eq!(allocated(&m), 3);
+        assert_eq!(m.read_width(0x30_0000, 1).unwrap(), 9);
+    }
+
+    #[test]
+    fn lazy_pages_keep_mapping_and_counter_semantics() {
+        let mut m = Memory::new();
+        let gen = m.generation();
+        m.map(0x1000, 0x4000, Prot::RW);
+        assert_eq!((m.page_count(), m.generation()), (4, gen + 1));
+        m.protect(0x1000, 0x2000, Prot::R);
+        assert_eq!(m.generation(), gen + 2);
+        assert_eq!(m.prot_at(0x2000), Some(Prot::R));
+        assert_eq!(m.prot_at(0x3000), Some(Prot::RW));
+        assert!(m.write_u64(0x1000, 1).is_err(), "protect applies unwritten");
+        m.write_u64(0x3000, 5).unwrap();
+        assert_eq!((m.writes(), m.generation()), (2, gen + 2));
+        m.unmap(0x3000, 0x1000);
+        assert_eq!((m.page_count(), m.generation()), (3, gen + 3));
+        assert!(!m.is_mapped(0x3000));
+        assert_eq!(
+            m.read_u64(0x3000).unwrap_err(),
+            Fault {
+                addr: 0x3000,
+                access: Access::Read,
+                mapped: false,
+            }
+        );
+        // A page mapped again after an unmap starts zeroed.
+        m.map(0x3000, 0x1000, Prot::RW);
+        assert_eq!(m.read_u64(0x3000).unwrap(), 0);
+        assert_eq!((m.page_count(), m.generation()), (4, gen + 4));
+        assert_eq!(allocated(&m), 0);
     }
 
     #[test]
