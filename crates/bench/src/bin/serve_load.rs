@@ -18,14 +18,18 @@
 //! fleet at 1/2/4/8 workers (`fleet` entries in the report): eight
 //! distinct single-module specs spread over the consistent-hash ring,
 //! hammered by the same client pool, byte-identity and exactly-once
-//! delivery asserted throughout. Monotonic throughput scaling across
-//! worker counts is a *soft* invariant: recorded as `fleet_monotonic`
-//! and warned about, never asserted (timing stays out of CI pass/fail).
-//! Set `SERVE_LOAD_FLEET=0` to skip.
+//! delivery asserted on every repetition. Each point repeats its
+//! client phase [`FLEET_REPETITIONS`] times and records the median
+//! throughput, p50 and p95, so one scheduler stall cannot decide a
+//! point. Monotonic throughput scaling across worker counts is a
+//! *soft* invariant: recorded as `fleet_monotonic` and warned about,
+//! never asserted (timing stays out of CI pass/fail). Set
+//! `SERVE_LOAD_FLEET=0` to skip.
 
 use cr_fleet::{Fleet, FleetConfig};
 use cr_serve::{Client, ServeConfig, Server};
 use serde::Serialize;
+use std::sync::Barrier;
 use std::time::Instant;
 
 #[derive(serde::Serialize)]
@@ -60,13 +64,21 @@ struct ServeLoadReport {
     fleet_monotonic: bool,
 }
 
+/// Client phases timed per fleet point.
+const FLEET_REPETITIONS: usize = 25;
+
 /// One fleet worker-count measurement.
 #[derive(serde::Serialize)]
 struct FleetScalePoint {
     workers: usize,
+    /// Client phases timed ([`FLEET_REPETITIONS`]).
+    repetitions: usize,
+    /// Requests over every repetition.
     total_requests: usize,
-    /// Completed warm requests per second across all clients.
+    /// Median over repetitions of completed warm requests per second
+    /// across all clients.
     throughput_rps: f64,
+    /// Median over repetitions of each phase's latency percentile.
     p50_us: u64,
     p95_us: u64,
     /// Requests that coalesced onto an in-flight identical admission.
@@ -100,7 +112,8 @@ fn fleet_specs() -> Vec<String> {
 }
 
 /// One fleet scaling point: start a `workers`-node fleet, warm every
-/// spec once, then drive the client pool over the spec mix.
+/// spec once, then drive the client pool over the spec mix
+/// [`FLEET_REPETITIONS`] times.
 fn fleet_point(
     workers: usize,
     clients: usize,
@@ -116,8 +129,8 @@ fn fleet_point(
     .expect("fleet starts");
     let addr = fleet.addr().to_string();
 
-    // Warm-up: every spec once, so each owner node (and, via
-    // replication, every sibling) is warm before the clock starts.
+    // Warm-up: every spec once, so the ring owner of each spec is
+    // warm before the clock starts.
     for (spec, reference) in specs.iter().zip(references) {
         let mut client = Client::connect(&addr).expect("warm-up connect");
         let response = client
@@ -127,13 +140,67 @@ fn fleet_point(
         assert_eq!(response.result.as_deref(), Some(reference.as_slice()));
     }
 
-    let phase_started = Instant::now();
-    let results: Vec<(Vec<u64>, bool)> = std::thread::scope(|s| {
+    let mut throughputs = Vec::with_capacity(FLEET_REPETITIONS);
+    let mut p50s = Vec::with_capacity(FLEET_REPETITIONS);
+    let mut p95s = Vec::with_capacity(FLEET_REPETITIONS);
+    let mut total_requests = 0;
+    let mut deterministic = true;
+    let mut exactly_once = true;
+    for _ in 0..FLEET_REPETITIONS {
+        let (latencies, phase_us, identical) =
+            fleet_phase(&addr, clients, requests_per_client, specs, references);
+        total_requests += latencies.len();
+        throughputs.push(latencies.len() as f64 / (phase_us.max(1) as f64 / 1e6));
+        p50s.push(percentile(&latencies, 0.50));
+        p95s.push(percentile(&latencies, 0.95));
+        deterministic &= identical;
+        exactly_once &= fleet
+            .delivery_counts()
+            .iter()
+            .all(|&(_, deliveries)| deliveries == 1)
+            && fleet.stats().ledger_violations == 0;
+    }
+    let stats = fleet.join();
+    exactly_once &= stats.ledger_violations == 0;
+    throughputs.sort_by(f64::total_cmp);
+    p50s.sort_unstable();
+    p95s.sort_unstable();
+    FleetScalePoint {
+        workers,
+        repetitions: FLEET_REPETITIONS,
+        total_requests,
+        throughput_rps: throughputs[FLEET_REPETITIONS / 2],
+        p50_us: p50s[FLEET_REPETITIONS / 2],
+        p95_us: p95s[FLEET_REPETITIONS / 2],
+        coalesced: stats.coalesced,
+        failovers: stats.failovers,
+        kills: stats.kills,
+        restarts: stats.restarts,
+        deterministic,
+        exactly_once,
+    }
+}
+
+/// One timed client phase against a fleet front: `(sorted latencies
+/// in µs, phase wall µs, every result byte-identical)`.
+fn fleet_phase(
+    addr: &str,
+    clients: usize,
+    requests_per_client: usize,
+    specs: &[String],
+    references: &[Vec<u8>],
+) -> (Vec<u64>, u64, bool) {
+    // Every client connects before the clock starts: a connect waits
+    // on the front's accept poll, which would otherwise dominate a
+    // phase of a few milliseconds.
+    let ready = Barrier::new(clients + 1);
+    let (results, phase_us): (Vec<(Vec<u64>, bool)>, u64) = std::thread::scope(|s| {
+        let ready = &ready;
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let addr = addr.clone();
                 s.spawn(move || {
-                    let mut client = Client::connect(&addr).expect("fleet connect");
+                    let mut client = Client::connect(addr).expect("fleet connect");
+                    ready.wait();
                     let mut latencies = Vec::with_capacity(requests_per_client);
                     let mut identical = true;
                     for r in 0..requests_per_client {
@@ -155,12 +222,14 @@ fn fleet_point(
                 })
             })
             .collect();
-        handles
+        ready.wait();
+        let phase_started = Instant::now();
+        let results = handles
             .into_iter()
             .map(|h| h.join().expect("fleet client thread"))
-            .collect()
+            .collect();
+        (results, phase_started.elapsed().as_micros() as u64)
     });
-    let phase_us = phase_started.elapsed().as_micros() as u64;
 
     let mut latencies: Vec<u64> = Vec::new();
     let mut deterministic = true;
@@ -169,26 +238,7 @@ fn fleet_point(
         deterministic &= identical;
     }
     latencies.sort_unstable();
-    let live_exactly_once = fleet
-        .delivery_counts()
-        .iter()
-        .all(|&(_, deliveries)| deliveries == 1);
-    let stats = fleet.join();
-    let exactly_once = live_exactly_once && stats.ledger_violations == 0;
-    let total_requests = latencies.len();
-    FleetScalePoint {
-        workers,
-        total_requests,
-        throughput_rps: total_requests as f64 / (phase_us.max(1) as f64 / 1e6),
-        p50_us: percentile(&latencies, 0.50),
-        p95_us: percentile(&latencies, 0.95),
-        coalesced: stats.coalesced,
-        failovers: stats.failovers,
-        kills: stats.kills,
-        restarts: stats.restarts,
-        deterministic,
-        exactly_once,
-    }
+    (latencies, phase_us, deterministic)
 }
 
 fn env_usize(name: &str, default: usize) -> usize {

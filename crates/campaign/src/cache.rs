@@ -386,25 +386,6 @@ impl AnalysisCache {
         std::fs::rename(&tmp, dir.join(CACHE_FILE))
     }
 
-    /// Every persistent entry as the CRC-framed JSONL document
-    /// [`AnalysisCache::save`] would write, so equal caches export equal
-    /// bytes. This is the warm-cache replication payload: one node's
-    /// export is another node's [`AnalysisCache::merge_jsonl`] input.
-    /// Resident images are memory-only and excluded.
-    pub fn export_jsonl(&self) -> String {
-        self.render(|_, _| {})
-    }
-
-    /// Merge [`AnalysisCache::export_jsonl`] lines into this cache and
-    /// return `(merged, rejected)` line counts. Entries are
-    /// content-addressed, so a key collision replaces an equal value.
-    /// Malformed lines are counted, never quarantined to disk (the
-    /// sender's copy is authoritative).
-    pub fn merge_jsonl(&self, text: &str) -> (u64, u64) {
-        let (merged, rejected) = self.merge_lines(text);
-        (merged, rejected.len() as u64)
-    }
-
     /// Merge every non-blank line of `text`: `(merged, rejected lines)`.
     fn merge_lines<'t>(&self, text: &'t str) -> (u64, Vec<&'t str>) {
         let mut merged = 0;
@@ -789,27 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn export_and_merge_replicate_every_table() {
-        let source = AnalysisCache::new();
-        sample_tables(&source);
-        let jsonl = source.export_jsonl();
-
-        let sink = AnalysisCache::new();
-        let (merged, rejected) = sink.merge_jsonl(&jsonl);
-        assert_eq!((merged, rejected), (6, 0));
-        assert_eq!(counts(&sink), counts(&source));
-        // Replication is idempotent: entries are content-addressed, so
-        // a re-merge replaces equal values with equal values.
-        let (merged2, rejected2) = sink.merge_jsonl(&jsonl);
-        assert_eq!((merged2, rejected2), (6, 0));
-        assert_eq!(sink.export_jsonl(), jsonl, "export round-trips");
-        // Malformed input is rejected per line, never fatal.
-        let (m, r) = sink.merge_jsonl("garbage line\n\n");
-        assert_eq!((m, r), (0, 1));
-        assert_eq!(sink.export_jsonl(), jsonl);
-    }
-
-    #[test]
     fn crc_rejects_single_byte_changes() {
         let line = frame(r#"{"kind":"filter","key":"k","verdict":"RejectsAccessViolation"}"#);
         assert!(unframe(&line).is_ok());
@@ -905,10 +865,13 @@ mod tests {
     /// per load.
     #[test]
     fn interning_reuses_reasons() {
+        let dir = scratch("intern");
+        std::fs::create_dir_all(&dir).unwrap();
         let line = frame(r#"{"kind":"filter","key":"k","verdict":{"Unknown":"same reason"}}"#);
+        std::fs::write(dir.join(CACHE_FILE), line + "\n").unwrap();
         let reason = || {
-            let cache = AnalysisCache::new();
-            assert_eq!(cache.merge_jsonl(&line), (1, 0));
+            let cache = AnalysisCache::load(&dir).unwrap();
+            assert_eq!(cache.quarantined(), 0);
             match cache.get::<FilterVerdict>("k") {
                 Some(FilterVerdict::Unknown(r)) => r,
                 other => panic!("expected an Unknown verdict, got {other:?}"),
@@ -917,6 +880,7 @@ mod tests {
         let (a, b) = (reason(), reason());
         assert_eq!(a, "same reason");
         assert!(std::ptr::eq(a, b));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A cache file written by the previous release (the hand-written
@@ -961,7 +925,6 @@ mod tests {
                 framed + "\n"
             })
             .collect();
-        assert_eq!(cache.export_jsonl(), expected);
         cache.save(&dir).unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap(),

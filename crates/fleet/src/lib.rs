@@ -7,7 +7,7 @@
 //! [`cr_serve::Client`] — the CLI, the load bench, the tests — talks
 //! to a fleet without knowing it is one.
 //!
-//! Three mechanisms, layered:
+//! Two mechanisms, layered:
 //!
 //! * **Supervision** ([`supervisor`]) — heartbeat Pings judge each
 //!   worker by its *serving phase* (queue depth, executor activity,
@@ -20,11 +20,10 @@
 //!   coalesce onto one admission; on worker death or partition the
 //!   admission fails over along the ring, and the delivery ledger
 //!   guarantees each admitted request exactly one Result frame.
-//! * **Replication** — warm-cache records (the same CRC-framed JSONL
-//!   the cache persists) are pulled from whichever node analyzed a
-//!   module fresh and pushed fleet-wide, so the second request for a
-//!   module is warm on *every* node, and a restarted generation comes
-//!   back warm before it takes traffic.
+//!
+//! Routing is the fleet's only warmth mechanism: a failover target or
+//! a restarted generation starts cold, and answers with the same
+//! bytes all the same.
 //!
 //! ## The failover idempotency contract
 //!
@@ -38,7 +37,6 @@
 //! once. The chaos plan `fleet` (node kills, partitions, heartbeat
 //! drops) exists to hammer exactly this contract.
 
-use cr_campaign::AnalysisCache;
 use cr_chaos::FaultInjector;
 use std::io;
 use std::net::TcpListener;
@@ -61,29 +59,8 @@ pub struct FleetConfig {
     pub addr: String,
     /// Worker count.
     pub workers: usize,
-    /// Campaign threads inside each worker.
-    pub worker_jobs: usize,
-    /// Heartbeat period, milliseconds.
-    pub heartbeat_ms: u64,
-    /// Consecutive heartbeat misses before a worker is declared dead.
-    pub miss_threshold: u32,
-    /// Base backoff before a restart, milliseconds; doubles per
-    /// consecutive restart.
-    pub restart_backoff_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub restart_backoff_cap_ms: u64,
-    /// Consecutive restarts before a slot is quarantined.
-    pub quarantine_after: u32,
     /// Concurrent admissions before the router answers Busy.
     pub admit_capacity: usize,
-    /// `retry_after_ms` hint in router Busy replies.
-    pub busy_retry_ms: u64,
-    /// Per-attempt read deadline on a dispatched request,
-    /// milliseconds — a wedged worker surfaces as a failover, not a
-    /// hung admission.
-    pub request_timeout_ms: u64,
-    /// Whether to replicate warm-cache records fleet-wide.
-    pub replicate: bool,
     /// Fault injector for the fleet sites (`fleet.node.kill`,
     /// `fleet.partition`, `fleet.heartbeat.drop`).
     pub injector: Option<Arc<FaultInjector>>,
@@ -98,16 +75,7 @@ impl Default for FleetConfig {
         FleetConfig {
             addr: "127.0.0.1:0".into(),
             workers: 3,
-            worker_jobs: 1,
-            heartbeat_ms: 25,
-            miss_threshold: 3,
-            restart_backoff_ms: 10,
-            restart_backoff_cap_ms: 250,
-            quarantine_after: 6,
             admit_capacity: 32,
-            busy_retry_ms: 25,
-            request_timeout_ms: 30_000,
-            replicate: true,
             injector: None,
             kill_at_admission: None,
         }
@@ -146,10 +114,6 @@ pub struct FleetCounters {
     pub results_delivered: AtomicU64,
     /// Dispatch attempts that failed over to another worker.
     pub failovers: AtomicU64,
-    /// Fleet-wide replication rounds completed.
-    pub replications: AtomicU64,
-    /// Cache records merged into the fleet replica.
-    pub records_replicated: AtomicU64,
     /// Workers rotated by graceful rolling restarts.
     pub rolling_restarts: AtomicU64,
     /// Delivery-ledger entries retired (front connection closed) with
@@ -193,10 +157,9 @@ pub struct FleetStats {
     pub results_delivered: u64,
     /// Failovers across workers.
     pub failovers: u64,
-    /// Replication rounds completed.
+    /// Always 0: the fleet does not replicate cache records. Kept
+    /// because the fleet-warm benchmark still reports it.
     pub replications: u64,
-    /// Records merged into the fleet replica.
-    pub records_replicated: u64,
     /// Rolling-restart rotations.
     pub rolling_restarts: u64,
     /// Ledger entries retired with exactly one delivery.
@@ -224,8 +187,7 @@ impl FleetCounters {
             busy_rejections: get(&self.busy_rejections),
             results_delivered: get(&self.results_delivered),
             failovers: get(&self.failovers),
-            replications: get(&self.replications),
-            records_replicated: get(&self.records_replicated),
+            replications: 0,
             rolling_restarts: get(&self.rolling_restarts),
             ledger_retired: get(&self.ledger_retired),
             ledger_violations: get(&self.ledger_violations),
@@ -254,23 +216,17 @@ impl Fleet {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?.to_string();
         let counters = Arc::new(FleetCounters::default());
-        let replica = Arc::new(AnalysisCache::new());
-        let supervisor = Arc::new(Supervisor::start(
-            cfg.clone(),
-            counters.clone(),
-            replica.clone(),
-        )?);
+        let supervisor = Arc::new(Supervisor::start(cfg.clone(), counters.clone())?);
         let router = Arc::new(router::Router::new(
             cfg.clone(),
             supervisor.clone(),
-            replica,
             counters.clone(),
         ));
 
         let monitor = {
             let supervisor = supervisor.clone();
             let router = router.clone();
-            let period = Duration::from_millis(cfg.heartbeat_ms.max(5));
+            let period = Duration::from_millis(crate::supervisor::HEARTBEAT_MS);
             std::thread::spawn(move || {
                 while !router.is_shutdown() {
                     supervisor.heartbeat_tick();

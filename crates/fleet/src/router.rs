@@ -19,7 +19,7 @@
 
 use crate::supervisor::Supervisor;
 use crate::{FleetConfig, FleetCounters};
-use cr_campaign::{AnalysisCache, CampaignSpec};
+use cr_campaign::CampaignSpec;
 use cr_chaos::{derive_seed, hash_str, mix64, Site};
 use cr_serve::proto::{
     negotiate, parse_hello, read_frame, write_frame, Frame, FrameError, FrameKind,
@@ -39,6 +39,13 @@ const POLL_MS: u64 = 25;
 /// Idle poll period for the accept loop — short, because a client's
 /// very first frame waits on it.
 const ACCEPT_POLL_MS: u64 = 2;
+
+/// `retry_after_ms` hint in router Busy replies.
+const BUSY_RETRY_MS: u64 = 25;
+
+/// Per-attempt read deadline on a dispatched request, milliseconds —
+/// a wedged worker surfaces as a failover, not a hung admission.
+const REQUEST_TIMEOUT_MS: u64 = 30_000;
 
 /// Upper bound on full ring sweeps for one admission before the fleet
 /// gives up and reports the last error. Between sweeps the dispatcher
@@ -102,7 +109,6 @@ pub struct Router {
     cfg: FleetConfig,
     supervisor: Arc<Supervisor>,
     ring: crate::ring::HashRing,
-    replica: Arc<AnalysisCache>,
     counters: Arc<FleetCounters>,
     admissions: Mutex<Admissions>,
     delivered: Mutex<Ledger>,
@@ -121,7 +127,6 @@ impl Router {
     pub(crate) fn new(
         cfg: FleetConfig,
         supervisor: Arc<Supervisor>,
-        replica: Arc<AnalysisCache>,
         counters: Arc<FleetCounters>,
     ) -> Router {
         let ring = crate::ring::HashRing::new(cfg.workers);
@@ -132,7 +137,6 @@ impl Router {
             cfg,
             supervisor,
             ring,
-            replica,
             counters,
             admissions: Mutex::new(Admissions {
                 by_key: HashMap::new(),
@@ -439,10 +443,7 @@ impl Router {
             conn.send(&Frame::text(
                 FrameKind::Busy,
                 request_id,
-                format!(
-                    "{{\"code\":\"busy\",\"retry_after_ms\":{}}}",
-                    self.cfg.busy_retry_ms
-                ),
+                format!("{{\"code\":\"busy\",\"retry_after_ms\":{BUSY_RETRY_MS}}}"),
             ));
             return;
         }
@@ -534,9 +535,6 @@ impl Router {
         };
         match outcome {
             Some((worker, answer)) => {
-                if self.cfg.replicate && answer.fresh {
-                    self.replicate_from(worker, &answer.addr);
-                }
                 for (conn, request_id) in &waiters {
                     // The frame writes happen outside the delivery
                     // ledger lock: a slow or dead front connection must
@@ -601,7 +599,7 @@ impl Router {
             Some(c) => c,
             None => {
                 let mut c = Client::connect(addr)?;
-                c.set_read_timeout(Some(Duration::from_millis(self.cfg.request_timeout_ms)))?;
+                c.set_read_timeout(Some(Duration::from_millis(REQUEST_TIMEOUT_MS)))?;
                 c
             }
         };
@@ -647,18 +645,12 @@ impl Router {
                 "worker {id}: status {status:?}, failing over"
             )));
         }
-        let fresh = done.contains("\"parse\":\"fresh\"");
         // A conn that just served a clean answer is worth keeping —
         // unless this attempt killed the worker out from under it.
         if !kill {
             self.checkin(id, generation, client);
         }
-        Ok(Answer {
-            addr: addr.to_string(),
-            result,
-            done,
-            fresh,
-        })
+        Ok(Answer { result, done })
     }
 
     /// Take a pooled connection to worker `id` from its shard, lazily
@@ -684,49 +676,12 @@ impl Router {
             conns.push((generation, client));
         }
     }
-
-    /// Pull the answering worker's warm records into the fleet replica
-    /// and push the merged store to every other routable worker.
-    fn replicate_from(&self, worker: usize, addr: &str) {
-        let _span = cr_trace::span_advisory(cr_trace::Stage::Schedule, "fleet.replicate");
-        let Ok(mut source) = Client::connect(addr) else {
-            return;
-        };
-        let Ok(records) = source.sync_pull() else {
-            return;
-        };
-        let (merged, _rejected) = self.replica.merge_jsonl(&records);
-        if merged == 0 {
-            return;
-        }
-        self.counters
-            .records_replicated
-            .fetch_add(merged, Ordering::Relaxed);
-        let export = self.replica.export_jsonl();
-        let mut pushed = false;
-        for id in 0..self.cfg.workers {
-            if id == worker {
-                continue;
-            }
-            let Some((sibling, _, _)) = self.supervisor.dispatch_target(id) else {
-                continue;
-            };
-            if let Ok(mut c) = Client::connect(&sibling) {
-                pushed |= c.sync_push(&export).is_ok();
-            }
-        }
-        if pushed {
-            self.counters.replications.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// One worker's accepted answer.
 struct Answer {
-    addr: String,
     result: Vec<u8>,
     done: String,
-    fresh: bool,
 }
 
 fn error_frame(request_id: u64, code: &str, message: &str) -> Frame {

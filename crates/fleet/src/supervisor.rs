@@ -11,7 +11,6 @@
 //! that keeps crash-looping is quarantined out of the ring.
 
 use crate::{FleetConfig, FleetCounters};
-use cr_campaign::AnalysisCache;
 use cr_chaos::Site;
 use cr_serve::{Client, ServeConfig, Server, ServerHandle};
 use std::io;
@@ -77,7 +76,7 @@ struct WorkerSlot {
     /// worker (drain gating for rolling restarts).
     in_flight: Arc<AtomicU64>,
     /// Persistent heartbeat connection, reused across ticks so the
-    /// monitor does not open a fresh socket every `heartbeat_ms`;
+    /// monitor does not open a fresh socket every [`HEARTBEAT_MS`];
     /// dropped whenever the worker changes generation.
     probe: Option<Client>,
 }
@@ -87,14 +86,27 @@ pub struct Supervisor {
     cfg: FleetConfig,
     slots: Mutex<Vec<WorkerSlot>>,
     counters: Arc<FleetCounters>,
-    /// Fleet-wide replica of the warm cache, pushed into every fresh
-    /// generation so a restarted node comes back warm.
-    replica: Arc<AnalysisCache>,
     shutdown: AtomicBool,
     /// Monotone heartbeat ordinal, the scope key for injected
     /// `fleet.heartbeat.drop` decisions.
     hb_seq: AtomicU64,
 }
+
+/// Heartbeat period, milliseconds.
+pub(crate) const HEARTBEAT_MS: u64 = 25;
+
+/// Consecutive heartbeat misses before a worker is declared dead.
+const MISS_THRESHOLD: u32 = 3;
+
+/// Base backoff before a restart, milliseconds; doubles per
+/// consecutive restart.
+const RESTART_BACKOFF_MS: u64 = 10;
+
+/// Restart backoff ceiling, milliseconds.
+const RESTART_BACKOFF_CAP_MS: u64 = 250;
+
+/// Consecutive restarts before a slot is quarantined.
+const QUARANTINE_AFTER: u32 = 6;
 
 /// A healthy-pong streak long enough to forgive past restarts.
 const FORGIVE_AFTER_PONGS: u32 = 10;
@@ -102,12 +114,14 @@ const FORGIVE_AFTER_PONGS: u32 = 10;
 fn spawn_server(cfg: &FleetConfig) -> io::Result<(String, ServerHandle, JoinHandle<()>)> {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        jobs: cfg.worker_jobs,
+        jobs: 1,
         // The router owns fleet-level admission; give each worker
         // enough queue that router-approved work is never bounced.
         admit_capacity: cfg.admit_capacity.max(16),
         busy_retry_ms: 10,
-        cache_dir: None, // fleet warmth travels by replication, not disk
+        // Warmth lives in memory on the node the ring routes to; a
+        // restarted generation starts cold.
+        cache_dir: None,
         ..ServeConfig::default()
     })?;
     let addr = server.local_addr()?.to_string();
@@ -124,11 +138,7 @@ impl Supervisor {
     /// # Errors
     ///
     /// Propagates the first worker's bind failure.
-    pub fn start(
-        cfg: FleetConfig,
-        counters: Arc<FleetCounters>,
-        replica: Arc<AnalysisCache>,
-    ) -> io::Result<Supervisor> {
+    pub fn start(cfg: FleetConfig, counters: Arc<FleetCounters>) -> io::Result<Supervisor> {
         let mut slots = Vec::with_capacity(cfg.workers);
         for id in 0..cfg.workers {
             let (addr, handle, thread) = spawn_server(&cfg)?;
@@ -153,19 +163,9 @@ impl Supervisor {
             cfg,
             slots: Mutex::new(slots),
             counters,
-            replica,
             shutdown: AtomicBool::new(false),
             hb_seq: AtomicU64::new(0),
         })
-    }
-
-    /// Whether the router may dispatch to this worker right now.
-    pub fn routable(&self, id: usize) -> bool {
-        self.slots
-            .lock()
-            .unwrap()
-            .get(id)
-            .is_some_and(|s| matches!(s.state, WorkerState::Healthy | WorkerState::Suspect))
     }
 
     /// The worker's current address and in-flight gauge, if routable.
@@ -220,7 +220,7 @@ impl Supervisor {
 
     /// One heartbeat pass over the fleet: ping the living, restart the
     /// dead, quarantine the crash-looping. Called by the monitor
-    /// thread every `heartbeat_ms`.
+    /// thread every [`HEARTBEAT_MS`].
     pub fn heartbeat_tick(&self) {
         if self.shutdown.load(Ordering::Relaxed) {
             return;
@@ -330,9 +330,7 @@ impl Supervisor {
             }
         }
         let mut client = Client::connect(addr)?;
-        client.set_read_timeout(Some(Duration::from_millis(
-            self.cfg.heartbeat_ms.max(25) * 4,
-        )))?;
+        client.set_read_timeout(Some(Duration::from_millis(HEARTBEAT_MS * 4)))?;
         let pong = client.ping()?;
         Ok((client, pong))
     }
@@ -341,7 +339,7 @@ impl Supervisor {
         s.misses += 1;
         s.healthy_pongs = 0;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        if s.misses >= self.cfg.miss_threshold {
+        if s.misses >= MISS_THRESHOLD {
             s.handle.kill();
             s.state = WorkerState::Dead;
             s.probe = None;
@@ -352,9 +350,8 @@ impl Supervisor {
     }
 
     /// Restart a dead worker: join the old generation, back off
-    /// exponentially, spawn the next generation, replicate the warm
-    /// cache into it. Past the quarantine threshold the slot is
-    /// quarantined instead.
+    /// exponentially, spawn the next (cold) generation. Past the
+    /// quarantine threshold the slot is quarantined instead.
     fn restart(&self, id: usize) {
         let (old_thread, restarts) = {
             let mut slots = self.slots.lock().unwrap();
@@ -362,7 +359,7 @@ impl Supervisor {
             if s.state != WorkerState::Dead {
                 return;
             }
-            if s.consecutive_restarts >= self.cfg.quarantine_after {
+            if s.consecutive_restarts >= QUARANTINE_AFTER {
                 s.state = WorkerState::Quarantined;
                 self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -374,11 +371,9 @@ impl Supervisor {
         }
         // Exponential backoff between restart attempts, capped; a
         // crash-looping worker burns quarantine budget, not CPU.
-        let backoff = self
-            .cfg
-            .restart_backoff_ms
+        let backoff = RESTART_BACKOFF_MS
             .saturating_mul(1u64 << restarts.min(8))
-            .min(self.cfg.restart_backoff_cap_ms);
+            .min(RESTART_BACKOFF_CAP_MS);
         std::thread::sleep(Duration::from_millis(backoff));
         if self.shutdown.load(Ordering::Relaxed) {
             return;
@@ -388,16 +383,6 @@ impl Supervisor {
             Ok((addr, handle, thread)) => {
                 self.counters.spawned.fetch_add(1, Ordering::Relaxed);
                 self.counters.restarts.fetch_add(1, Ordering::Relaxed);
-                let records = self.replica.export_jsonl();
-                if !records.is_empty() {
-                    // Warm the fresh generation before it takes
-                    // traffic; failure is benign (it just runs cold).
-                    if let Ok(mut c) = Client::connect(&addr) {
-                        if c.sync_push(&records).is_ok() {
-                            self.counters.replications.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
                 let mut slots = self.slots.lock().unwrap();
                 let s = &mut slots[id];
                 s.generation += 1;
@@ -423,7 +408,7 @@ impl Supervisor {
 
     /// Rotate one worker out gracefully for a rolling restart: route
     /// around it, wait for its in-flight work to drain, drain the
-    /// server itself, then bring up the next generation warm.
+    /// server itself, then bring up the next (cold) generation.
     pub fn rotate(&self, id: usize) {
         let (addr, in_flight) = {
             let mut slots = self.slots.lock().unwrap();
@@ -456,14 +441,6 @@ impl Supervisor {
         match spawn_server(&self.cfg) {
             Ok((addr, handle, thread)) => {
                 self.counters.spawned.fetch_add(1, Ordering::Relaxed);
-                let records = self.replica.export_jsonl();
-                if !records.is_empty() {
-                    if let Ok(mut c) = Client::connect(&addr) {
-                        if c.sync_push(&records).is_ok() {
-                            self.counters.replications.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
                 let mut slots = self.slots.lock().unwrap();
                 let s = &mut slots[id];
                 s.generation += 1;

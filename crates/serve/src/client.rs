@@ -285,46 +285,6 @@ impl Client {
         })
     }
 
-    /// Pull the server's warm-cache records (CRC-framed JSONL, the
-    /// replication payload).
-    ///
-    /// # Errors
-    ///
-    /// Transport failure or an unexpected reply kind.
-    pub fn sync_pull(&mut self) -> io::Result<String> {
-        self.next_request_id += 1;
-        let id = self.next_request_id;
-        self.write(&Frame::text(FrameKind::SyncPull, id, "{}"))?;
-        let frame = self.read()?;
-        if frame.kind != FrameKind::SyncState {
-            return Err(other_err(format!(
-                "expected SyncState, got {:?}",
-                frame.kind
-            )));
-        }
-        Ok(frame.payload_str())
-    }
-
-    /// Push warm-cache records into the server; returns the server's
-    /// `(merged, rejected)` line counts from its SyncAck.
-    ///
-    /// # Errors
-    ///
-    /// Transport failure or an unexpected reply kind.
-    pub fn sync_push(&mut self, records: &str) -> io::Result<(u64, u64)> {
-        self.next_request_id += 1;
-        let id = self.next_request_id;
-        self.write(&Frame::text(FrameKind::SyncPush, id, records))?;
-        let frame = self.read()?;
-        if frame.kind != FrameKind::SyncAck {
-            return Err(other_err(format!("expected SyncAck, got {:?}", frame.kind)));
-        }
-        let payload = frame.payload_str();
-        let v = Json::parse(&payload).map_err(other_err)?;
-        let field = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-        Ok((field("merged"), field("rejected")))
-    }
-
     /// Bound every read on this connection; `None` blocks forever.
     ///
     /// # Errors

@@ -33,8 +33,7 @@ use cr_campaign::json::Json;
 use std::io::{self, Read, Write};
 
 /// Protocol version this build speaks. Version 2 added the fleet
-/// frames: Ping/Pong heartbeats and the SyncPull/SyncState/SyncPush/
-/// SyncAck cache-replication exchange.
+/// supervisor's Ping/Pong heartbeats.
 pub const PROTO_VERSION: u16 = 2;
 
 /// Oldest protocol version this build still accepts in a Hello.
@@ -50,7 +49,9 @@ pub const HEADER_LEN: usize = 24;
 /// length field must not convince the server to allocate gigabytes.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// What a frame means. The discriminants are the wire encoding.
+/// What a frame means. The discriminants are the wire encoding; codes
+/// 14–17 are retired (an earlier cache-sync exchange) and stay
+/// unassigned, so they decode as [`FrameError::UnknownKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum FrameKind {
     /// Client → server: version negotiation opener.
@@ -83,18 +84,6 @@ pub enum FrameKind {
     /// (queue depth, executor activity, completed count) so health is
     /// judged by the serving loop, not just process liveness.
     Pong,
-    /// Client → server: request the server's content-addressed cache
-    /// records (warm-cache replication, pull side).
-    SyncPull,
-    /// Server → client: the cache records, as the same CRC-framed
-    /// JSONL lines the cache persists to disk.
-    SyncState,
-    /// Client → server: merge these CRC-framed JSONL cache records
-    /// (warm-cache replication, push side).
-    SyncPush,
-    /// Server → client: push acknowledged, carries merged/rejected
-    /// record counts.
-    SyncAck,
 }
 
 impl FrameKind {
@@ -114,10 +103,6 @@ impl FrameKind {
             FrameKind::ShutdownAck => 11,
             FrameKind::Ping => 12,
             FrameKind::Pong => 13,
-            FrameKind::SyncPull => 14,
-            FrameKind::SyncState => 15,
-            FrameKind::SyncPush => 16,
-            FrameKind::SyncAck => 17,
         }
     }
 
@@ -137,10 +122,6 @@ impl FrameKind {
             11 => FrameKind::ShutdownAck,
             12 => FrameKind::Ping,
             13 => FrameKind::Pong,
-            14 => FrameKind::SyncPull,
-            15 => FrameKind::SyncState,
-            16 => FrameKind::SyncPush,
-            17 => FrameKind::SyncAck,
             _ => return None,
         })
     }
@@ -357,7 +338,7 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips() {
-        for code in 1..=17u8 {
+        for code in 1..=13u8 {
             let kind = FrameKind::from_code(code).expect("valid code");
             assert_eq!(kind.code(), code);
             let frame = Frame {
@@ -368,8 +349,17 @@ mod tests {
             let back = read_frame(&mut &frame.encode()[..]).unwrap();
             assert_eq!(back, frame);
         }
-        assert_eq!(FrameKind::from_code(0), None);
-        assert_eq!(FrameKind::from_code(18), None);
+        // 0, the retired cache-sync codes 14..=17 and everything past
+        // them are unassigned.
+        for code in [0u8, 14, 15, 16, 17, 18] {
+            assert_eq!(FrameKind::from_code(code), None, "code {code}");
+            let mut wire = sample().encode();
+            wire[6] = code;
+            assert!(
+                matches!(read_frame(&mut &wire[..]), Err(FrameError::UnknownKind(c)) if c == code),
+                "code {code} must decode as UnknownKind"
+            );
+        }
     }
 
     #[test]

@@ -138,10 +138,6 @@ pub struct ServeStats {
     pub frames_truncated: u64,
     /// Heartbeat `Ping` frames answered with a `Pong`.
     pub pings_answered: u64,
-    /// `SyncPull` replication requests served.
-    pub sync_pulls: u64,
-    /// `SyncPush` replication merges applied.
-    pub sync_pushes: u64,
     /// Execution-ledger entries retired (connection closed) with the
     /// invariant intact — exactly one execution.
     pub exec_retired: u64,
@@ -164,8 +160,6 @@ struct Counters {
     frames_sent: AtomicU64,
     frames_truncated: AtomicU64,
     pings_answered: AtomicU64,
-    sync_pulls: AtomicU64,
-    sync_pushes: AtomicU64,
     exec_retired: AtomicU64,
     exec_violations: AtomicU64,
 }
@@ -186,8 +180,6 @@ impl Counters {
             frames_sent: get(&self.frames_sent),
             frames_truncated: get(&self.frames_truncated),
             pings_answered: get(&self.pings_answered),
-            sync_pulls: get(&self.sync_pulls),
-            sync_pushes: get(&self.sync_pushes),
             exec_retired: get(&self.exec_retired),
             exec_violations: get(&self.exec_violations),
         }
@@ -498,8 +490,9 @@ impl Server {
             if !killed {
                 // Atomic by construction: the cache layer writes a
                 // temporary sibling and renames it into place. A
-                // killed node deliberately loses its warm state — that
-                // is what fleet replication exists to cover.
+                // killed node deliberately loses its warm state; a
+                // campaign is a pure function of its spec, so the next
+                // node recomputes the same bytes.
                 self.shared.cache.save(dir)?;
             }
         }
@@ -742,26 +735,6 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream, reader_stream: &TcpStream,
                         "{{\"queue_len\":{queue_len},\"executing\":{executing},\
                          \"completed\":{completed},\"draining\":{draining}}}"
                     ),
-                ));
-            }
-            FrameKind::SyncPull => {
-                shared.counters.sync_pulls.fetch_add(1, Ordering::Relaxed);
-                writer.send(&Frame {
-                    kind: FrameKind::SyncState,
-                    request_id: frame.request_id,
-                    payload: shared.cache.export_jsonl().into_bytes(),
-                });
-            }
-            FrameKind::SyncPush => {
-                let (merged, rejected) = match std::str::from_utf8(&frame.payload) {
-                    Ok(text) => shared.cache.merge_jsonl(text),
-                    Err(_) => (0, 1),
-                };
-                shared.counters.sync_pushes.fetch_add(1, Ordering::Relaxed);
-                writer.send(&Frame::text(
-                    FrameKind::SyncAck,
-                    frame.request_id,
-                    format!("{{\"merged\":{merged},\"rejected\":{rejected}}}"),
                 ));
             }
             FrameKind::Cancel => {

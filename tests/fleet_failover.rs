@@ -8,7 +8,7 @@
 use cr_campaign::{run_campaign, CampaignSpec, EngineConfig};
 use cr_chaos::{FaultInjector, FaultPlan};
 use cr_fleet::{Fleet, FleetConfig, WorkerState};
-use cr_serve::Client;
+use cr_serve::{Client, Response};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,14 +45,21 @@ fn reference_for(spec: &CampaignSpec) -> String {
 }
 
 /// Send one request over a fresh front connection and return the
-/// Result document.
-fn ask(addr: &str, payload: &str) -> String {
+/// completed response.
+fn ask_response(addr: &str, payload: &str) -> Response {
     let mut client = Client::connect(addr).expect("connect to fleet front");
     let response = client
         .request_with_retry(payload, 10)
         .expect("fleet request");
     assert!(response.completed(), "error={:?}", response.error);
     assert_eq!(response.done_str("status").as_deref(), Some("ok"));
+    response
+}
+
+/// Send one request over a fresh front connection and return the
+/// Result document.
+fn ask(addr: &str, payload: &str) -> String {
+    let response = ask_response(addr, payload);
     String::from_utf8(response.result.expect("result document")).expect("UTF-8 result")
 }
 
@@ -107,6 +114,53 @@ fn fleet_answers_are_byte_identical_to_oneshot_and_coalesce() {
     assert_eq!(stats.results_delivered, 6);
     assert_eq!(stats.requests_admitted, 6);
     assert_eq!(stats.kills, 0);
+}
+
+/// Routing is the fleet's only warmth mechanism: the second request
+/// for a spec, even over a new front connection, must land on the
+/// worker that analyzed it first and be served from its warm state.
+#[test]
+fn repeat_request_is_warm_on_its_ring_owner() {
+    let _guard = solo();
+    let fleet = Fleet::start(FleetConfig {
+        workers: 2,
+        ..FleetConfig::default()
+    })
+    .expect("fleet starts");
+    let addr = fleet.addr().to_string();
+
+    for spec in (0..3).map(spec_for) {
+        let payload = payload_for(&spec);
+        // Parsed images and module summaries live per worker; the
+        // solver memo is process-wide, so it cannot tell workers apart.
+        let cold = ask_response(&addr, &payload);
+        assert_eq!(cold.done_str("parse").as_deref(), Some("fresh"));
+        assert_eq!(cold.done_u64("module_hits"), Some(0));
+        let warm = ask_response(&addr, &payload);
+        assert_eq!(
+            warm.done_u64("solver_calls"),
+            Some(0),
+            "{}: a repeat must reach the warm owner, done={:?}",
+            spec.name,
+            warm.done
+        );
+        assert_eq!(warm.done_str("parse").as_deref(), Some("cached"));
+        assert!(
+            warm.done_u64("module_hits") > Some(0),
+            "done={:?}",
+            warm.done
+        );
+        assert_eq!(
+            warm.result, cold.result,
+            "{}: bytes must not change",
+            spec.name
+        );
+    }
+
+    assert_exactly_once(&fleet);
+    let stats = fleet.join();
+    assert_eq!(stats.results_delivered, 6);
+    assert_eq!(stats.coalesced, 0, "sequential requests never coalesce");
 }
 
 #[test]

@@ -53,11 +53,11 @@ proptest! {
 
     #[test]
     fn every_kind_roundtrips_with_arbitrary_payload(
-        code in 1u8..=17,
+        code in 1u8..=13,
         request_id in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let kind = FrameKind::from_code(code).expect("codes 1..=17 are assigned");
+        let kind = FrameKind::from_code(code).expect("codes 1..=13 are assigned");
         let frame = Frame { kind, request_id, payload };
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).expect("vec write");
@@ -67,12 +67,12 @@ proptest! {
 
     #[test]
     fn payload_corruption_is_always_detected(
-        code in 1u8..=17,
+        code in 1u8..=13,
         payload in proptest::collection::vec(any::<u8>(), 1..128),
         pos_seed in any::<usize>(),
         flip in 1u8..=255,
     ) {
-        let kind = FrameKind::from_code(code).expect("codes 1..=17 are assigned");
+        let kind = FrameKind::from_code(code).expect("codes 1..=13 are assigned");
         let frame = Frame { kind, request_id: 9, payload };
         let mut wire = frame.encode();
         let pos = HEADER_LEN + pos_seed % (wire.len() - HEADER_LEN);
@@ -85,12 +85,12 @@ proptest! {
 
     #[test]
     fn header_corruption_never_panics(
-        code in 1u8..=17,
+        code in 1u8..=13,
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         pos_seed in any::<usize>(),
         flip in 1u8..=255,
     ) {
-        let kind = FrameKind::from_code(code).expect("codes 1..=17 are assigned");
+        let kind = FrameKind::from_code(code).expect("codes 1..=13 are assigned");
         let frame = Frame { kind, request_id: 1, payload };
         let mut wire = frame.encode();
         let pos = pos_seed % HEADER_LEN;

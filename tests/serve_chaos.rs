@@ -12,6 +12,19 @@ use std::sync::Arc;
 
 const SPEC: &str = r#"{"name":"serve-chaos","seed":2017,"tasks":[{"PocScan":"ie"}]}"#;
 
+/// A raw connection that has completed the Hello handshake by hand.
+fn raw_session(addr: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    write_frame(
+        &mut stream,
+        &Frame::text(FrameKind::Hello, 0, cr_serve::proto::hello_payload()),
+    )
+    .expect("hello");
+    let ack = read_frame(&mut stream).expect("hello ack");
+    assert_eq!(ack.kind, FrameKind::HelloAck);
+    stream
+}
+
 #[test]
 fn wire_plan_never_double_executes_requests() {
     let cfg = ServeConfig {
@@ -101,15 +114,7 @@ fn corrupt_frames_are_rejected_without_execution() {
 
     // Handshake by hand, then send a Request frame whose payload is
     // flipped after the CRC was computed.
-    let mut stream = TcpStream::connect(&addr).expect("raw connect");
-    write_frame(
-        &mut stream,
-        &Frame::text(FrameKind::Hello, 0, cr_serve::proto::hello_payload()),
-    )
-    .expect("hello");
-    let ack = read_frame(&mut stream).expect("hello ack");
-    assert_eq!(ack.kind, FrameKind::HelloAck);
-
+    let mut stream = raw_session(&addr);
     let mut bytes = Frame::text(FrameKind::Request, 1, SPEC).encode();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xff; // corrupt the payload under an intact CRC
@@ -126,15 +131,29 @@ fn corrupt_frames_are_rejected_without_execution() {
     );
     drop(stream);
 
+    // A frame under a retired kind code: 14..=17 once carried a
+    // cache-sync exchange and now decode as an unknown kind, a
+    // protocol violation counted like any other bad frame.
+    let bad_before = handle.stats().bad_frames;
+    let mut stream = raw_session(&addr);
+    let mut bytes = Frame::text(FrameKind::Ping, 2, "{}").encode();
+    bytes[6] = 14;
+    {
+        use std::io::Write as _;
+        stream.write_all(&bytes).expect("send retired-kind frame");
+    }
+    let reply = read_frame(&mut stream).expect("error reply");
+    assert_eq!(reply.kind, FrameKind::Error);
+    assert!(
+        reply.payload_str().contains("bad_frame") && reply.payload_str().contains("kind 14"),
+        "payload={}",
+        reply.payload_str()
+    );
+    assert_eq!(handle.stats().bad_frames, bad_before + 1);
+    drop(stream);
+
     // A frame that dies mid-payload (claimed length never arrives).
-    let mut stream = TcpStream::connect(&addr).expect("raw connect 2");
-    write_frame(
-        &mut stream,
-        &Frame::text(FrameKind::Hello, 0, cr_serve::proto::hello_payload()),
-    )
-    .expect("hello 2");
-    let ack = read_frame(&mut stream).expect("hello ack 2");
-    assert_eq!(ack.kind, FrameKind::HelloAck);
+    let mut stream = raw_session(&addr);
     let bytes = Frame::text(FrameKind::Request, 1, SPEC).encode();
     {
         use std::io::Write as _;
@@ -158,7 +177,7 @@ fn corrupt_frames_are_rejected_without_execution() {
     client.shutdown().expect("shutdown ack");
 
     let stats = runner.join().expect("server thread");
-    assert!(stats.bad_frames >= 1, "stats={stats:?}");
+    assert!(stats.bad_frames >= 2, "stats={stats:?}");
     assert_eq!(stats.requests_admitted, 1);
     assert_eq!(stats.requests_completed, 1);
 }
