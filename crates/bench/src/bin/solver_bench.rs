@@ -1,35 +1,27 @@
-//! Decision-procedure throughput bench: the interned pipeline (term
-//! arena, watched-literal DPLL, normalized-query memo) vs the retained
-//! reference pipeline (Rc-pointer blaster, scan-all DPLL), as
-//! machine-readable JSON written to `BENCH_solver.json`.
+//! Decision-procedure throughput bench, as machine-readable JSON
+//! written to `BENCH_solver.json`.
 //!
 //! The corpus is `SOLVER_BENCH_QUERIES` (default 400) filter-style
 //! constraint sets — exception-code pins, masked-flag tests, small
 //! adder/xor chains over 32-bit variables — generated from a fixed
-//! xorshift seed so every run prices the same work. Three measurements,
-//! each best-of-`SOLVER_BENCH_ROUNDS` (default 3) to shed scheduling
-//! noise:
+//! xorshift seed so every run prices the same work. Each measurement is
+//! best-of-`SOLVER_BENCH_ROUNDS` (default 3) to shed scheduling noise:
 //!
-//! 1. **reference cold** — every query through [`cr_symex::check_reference`];
-//! 2. **interned cold** — every query through [`cr_symex::check`] after
+//! 1. **interned cold** — every query through [`cr_symex::check`] after
 //!    [`cr_symex::reset_query_memo`], so each query is blasted and
 //!    solved for real;
-//! 3. **memo warm** — the same corpus again without a reset: every
-//!    query must be answered from the normalized-query memo.
+//! 2. **memo warm** — the same corpus again without a reset: every
+//!    query must be answered from the normalized-query memo;
+//! 3. **paths** — the loopy/multi-branch filter family explored by
+//!    [`FilterExplorer`] with incremental push/pop solving, from a cold
+//!    memo. Exploration is sequential, so this is a single-core figure.
 //!
-//! Asserts the correctness invariants while it measures: the two
-//! pipelines must agree on every verdict (`verdict_parity`), SAT models
-//! must satisfy their constraints, and the warm pass must hit the memo
-//! once per query. Wall-time ratios are recorded, never asserted —
-//! timing belongs in the JSON, not in CI pass/fail.
-//!
-//! A fourth measurement prices the path explorer (the `paths` section):
-//! the loopy/multi-branch filter family explored with incremental
-//! push/pop solving vs the same exploration re-blasting every path from
-//! scratch ([`FilterExplorer`]'s `incremental(false)` differential
-//! mode). Verdicts — merged and per-path — must agree between modes;
-//! the wall ratio lands in `incremental_speedup`. Exploration is
-//! sequential, so both numbers are single-core figures.
+//! Asserts the correctness invariants while it measures: every SAT
+//! model, cold or replayed from the memo, must satisfy its constraints
+//! under [`BoolExpr::eval`] (`models_verified`), the warm pass must
+//! return the cold pass's verdicts and hit the memo once per query.
+//! Wall times are recorded, never asserted — timing belongs in the
+//! JSON, not in CI pass/fail.
 
 use cr_core::seh::PeCode;
 use cr_image::FilterRef;
@@ -60,20 +52,14 @@ struct PathsPassStats {
     memo_hits: u64,
 }
 
-/// The `paths` section: incremental exploration vs per-path re-blast
-/// over the loopy filter family.
+/// The `paths` section: incremental exploration of the loopy filter
+/// family.
 #[derive(serde::Serialize)]
 struct PathsReport {
     filters: usize,
     paths: usize,
     rounds: usize,
     incremental: PathsPassStats,
-    independent: PathsPassStats,
-    /// Independent / incremental wall ratio (>1 = incremental faster).
-    incremental_speedup: f64,
-    incremental_beats_independent: bool,
-    /// Merged and per-path verdicts identical across both modes.
-    verdict_parity: bool,
 }
 
 #[derive(serde::Serialize)]
@@ -83,15 +69,12 @@ struct SolverReport {
     sat: usize,
     unsat: usize,
     unknown: usize,
-    reference_cold: PassStats,
     interned_cold: PassStats,
     memo_warm: PassStats,
-    /// Reference-cold / interned-cold wall ratio (>1 = interned faster).
-    cold_speedup: f64,
     /// Interned-cold / memo-warm wall ratio (>1 = memo pays off).
     warm_speedup: f64,
-    /// Both pipelines returned the same verdict for every query.
-    verdict_parity: bool,
+    /// Every SAT model of both passes satisfies its constraints.
+    models_verified: bool,
     /// Path-explorer pricing over the loopy filter family.
     paths: PathsReport,
 }
@@ -121,8 +104,8 @@ impl Rng {
     }
 }
 
-/// One filter-style query: the kinds of constraint sets
-/// `SymExec::analyze_filter` emits, scaled to a corpus.
+/// One filter-style query: the kinds of constraint sets the filter
+/// explorer emits, scaled to a corpus.
 fn gen_query(rng: &mut Rng, i: usize) -> Vec<BoolExpr> {
     // The normalized-query memo alpha-renames variables, so unique
     // names alone don't make queries distinct — every query also gets a
@@ -203,12 +186,19 @@ fn same_verdict(a: &SatResult, b: &SatResult) -> bool {
     std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
+/// Whether a `Sat` result's model satisfies every constraint of its
+/// query (vacuously true for `Unsat`/`Unknown`).
+fn model_holds(query: &[BoolExpr], r: &SatResult) -> bool {
+    match r {
+        SatResult::Sat(m) => query.iter().all(|c| c.eval(&|name| m.get(name))),
+        _ => true,
+    }
+}
+
 fn main() {
     print!(
         "{}",
-        cr_core::report::banner(
-            "solver bench — interned arena + watched DPLL + query memo vs reference"
-        )
+        cr_core::report::banner("solver bench — interned arena + incremental DPLL + query memo")
     );
     let queries = env_usize("SOLVER_BENCH_QUERIES", 400);
     let rounds = env_usize("SOLVER_BENCH_ROUNDS", 3).max(1);
@@ -220,19 +210,7 @@ fn main() {
     // Each pass runs in its own tally scope, so it counts exactly the
     // work of its own checks.
 
-    // Pass 1: reference pipeline, best of N rounds.
-    eprintln!("[solver_bench] reference cold ({queries} queries x {rounds} rounds) ...");
-    let mut ref_wall = u64::MAX;
-    let mut ref_verdicts = Vec::new();
-    let ((), ref_work) = tally_work(|| {
-        for _ in 0..rounds {
-            let (w, v) = run_pass(&corpus, &|q| cr_symex::check_reference(q));
-            ref_wall = ref_wall.min(w);
-            ref_verdicts = v;
-        }
-    });
-
-    // Pass 2: interned pipeline, memo reset before every round so each
+    // Pass 1: interned pipeline, memo reset before every round so each
     // round blasts and solves every query from scratch.
     eprintln!("[solver_bench] interned cold ...");
     let mut cold_wall = u64::MAX;
@@ -246,7 +224,7 @@ fn main() {
         }
     });
 
-    // Pass 3: same corpus, memo left warm from the last cold round.
+    // Pass 2: same corpus, memo left warm from the last cold round.
     eprintln!("[solver_bench] memo warm ...");
     let mut warm_wall = u64::MAX;
     let mut warm_verdicts = Vec::new();
@@ -258,11 +236,9 @@ fn main() {
         }
     });
 
-    // Pass 4: the path explorer over the loopy family, incremental
-    // push/pop vs per-path re-blast. The memo is reset before every
-    // round so both modes start cold and neither inherits the other's
-    // normalized-query entries.
-    eprintln!("[solver_bench] path exploration (loopy family, incremental vs independent) ...");
+    // Pass 3: the path explorer over the loopy family, memo reset
+    // before every round so each round starts cold.
+    eprintln!("[solver_bench] path exploration (loopy family) ...");
     let image = cr_targets::browsers::generate_loopy_dll();
     let pe_code = PeCode::new(&image);
     let mut filter_rvas: Vec<u32> = image
@@ -276,89 +252,55 @@ fn main() {
         .collect();
     filter_rvas.sort_unstable();
     filter_rvas.dedup();
-    let explore_mode = |incremental: bool| -> (u64, SolverCounters, Vec<ExplorationReport>) {
-        let explorer = FilterExplorer::builder().incremental(incremental).build();
-        let mut wall = u64::MAX;
-        let mut reports = Vec::new();
-        let ((), work) = tally_work(|| {
-            for _ in 0..rounds {
-                cr_symex::reset_query_memo();
-                let start = Instant::now();
-                let out: Vec<ExplorationReport> = filter_rvas
-                    .iter()
-                    .map(|&rva| explorer.explore(&pe_code, image.image_base + u64::from(rva)))
-                    .collect();
-                wall = wall.min(start.elapsed().as_micros() as u64);
-                reports = out;
-            }
-        });
-        (wall, work, reports)
-    };
-    let (inc_wall, inc_work, inc_reports) = explore_mode(true);
-    let (ind_wall, ind_work, ind_reports) = explore_mode(false);
-    let mut paths_parity = inc_reports.len() == ind_reports.len();
-    for (i, (a, b)) in inc_reports.iter().zip(&ind_reports).enumerate() {
-        if a.verdict != b.verdict
-            || a.paths.len() != b.paths.len()
-            || a.paths
+    let explorer = FilterExplorer::builder().build();
+    let mut paths_wall = u64::MAX;
+    let mut reports: Vec<ExplorationReport> = Vec::new();
+    let ((), paths_work) = tally_work(|| {
+        for _ in 0..rounds {
+            cr_symex::reset_query_memo();
+            let start = Instant::now();
+            reports = filter_rvas
                 .iter()
-                .zip(&b.paths)
-                .any(|(p, q)| p.verdict != q.verdict)
-        {
-            eprintln!(
-                "[solver_bench] PATH PARITY FAILURE filter {i}: \
-                 incremental={:?} independent={:?}",
-                a.verdict, b.verdict
-            );
-            paths_parity = false;
+                .map(|&rva| explorer.explore(&pe_code, image.image_base + u64::from(rva)))
+                .collect();
+            paths_wall = paths_wall.min(start.elapsed().as_micros() as u64);
         }
-    }
-
-    let paths_stats = |wall: u64, w: SolverCounters| PathsPassStats {
-        wall_us: wall,
-        solver_calls: w.solver_calls,
-        memo_lookups: w.memo_lookups,
-        memo_hits: w.memo_hits,
-    };
+    });
     let paths_report = PathsReport {
         filters: filter_rvas.len(),
-        paths: inc_reports.iter().map(|r| r.paths.len()).sum(),
+        paths: reports.iter().map(|r| r.paths.len()).sum(),
         rounds,
-        incremental: paths_stats(inc_wall, inc_work),
-        independent: paths_stats(ind_wall, ind_work),
-        incremental_speedup: ind_wall as f64 / inc_wall.max(1) as f64,
-        incremental_beats_independent: inc_wall < ind_wall,
-        verdict_parity: paths_parity,
+        incremental: PathsPassStats {
+            wall_us: paths_wall,
+            solver_calls: paths_work.solver_calls,
+            memo_lookups: paths_work.memo_lookups,
+            memo_hits: paths_work.memo_hits,
+        },
     };
 
     let mut sat = 0;
     let mut unsat = 0;
     let mut unknown = 0;
-    let mut parity = true;
-    for (i, (n, r)) in cold_verdicts.iter().zip(&ref_verdicts).enumerate() {
+    let mut memo_parity = true;
+    let mut models_verified = true;
+    for (i, n) in cold_verdicts.iter().enumerate() {
         match n {
-            SatResult::Sat(m) => {
-                sat += 1;
-                for c in &corpus[i] {
-                    assert!(
-                        c.eval(&|name| m.get(name)),
-                        "query {i}: SAT model fails constraint"
-                    );
-                }
-            }
+            SatResult::Sat(_) => sat += 1,
             SatResult::Unsat => unsat += 1,
             SatResult::Unknown(_) => unknown += 1,
         }
-        if !same_verdict(n, r) {
-            eprintln!("[solver_bench] PARITY FAILURE query {i}: interned={n:?} reference={r:?}");
-            parity = false;
+        for (pass, r) in [("cold", n), ("warm", &warm_verdicts[i])] {
+            if !model_holds(&corpus[i], r) {
+                eprintln!("[solver_bench] MODEL FAILURE query {i} ({pass}): {r:?}");
+                models_verified = false;
+            }
         }
         if !same_verdict(n, &warm_verdicts[i]) {
             eprintln!(
                 "[solver_bench] MEMO FAILURE query {i}: cold={n:?} warm={:?}",
                 warm_verdicts[i]
             );
-            parity = false;
+            memo_parity = false;
         }
     }
 
@@ -375,12 +317,10 @@ fn main() {
         sat,
         unsat,
         unknown,
-        reference_cold: stats(ref_wall, ref_work),
         interned_cold: stats(cold_wall, cold_work),
         memo_warm: stats(warm_wall, warm_work),
-        cold_speedup: ref_wall as f64 / cold_wall.max(1) as f64,
         warm_speedup: cold_wall as f64 / warm_wall.max(1) as f64,
-        verdict_parity: parity,
+        models_verified,
         paths: paths_report,
     };
     let json = report.to_json();
@@ -388,9 +328,10 @@ fn main() {
     std::fs::write(&out_path, format!("{json}\n")).expect("write bench report");
     eprintln!("[solver_bench] wrote {out_path}");
 
+    assert!(models_verified, "every SAT model must satisfy its query");
     assert!(
-        parity,
-        "interned and reference pipelines must agree on every verdict"
+        memo_parity,
+        "the warm pass must replay every cold verdict from the memo"
     );
     assert_eq!(
         report.memo_warm.memo_hits,
@@ -402,8 +343,4 @@ fn main() {
         "warm-pass lookups must all hit"
     );
     assert!(unknown == 0, "corpus queries must stay in budget");
-    assert!(
-        report.paths.verdict_parity,
-        "incremental and independent exploration must agree on every path verdict"
-    );
 }

@@ -344,7 +344,7 @@ pub fn run_campaign_with_cache(
 
 /// Predict the per-class error counts [`run_campaign`] will report for
 /// `spec` under `cfg` — an exact, side-effect-free mirror of the
-/// per-attempt fault decision order in [`execute_task`] (worker panic,
+/// per-attempt fault decision order in `execute_task` (worker panic,
 /// then stall, then image bytes, then solver budget; first firing site
 /// wins the attempt). Counts **injected** faults only; a spec whose
 /// tasks fail on their own (unknown targets, say) will report more.

@@ -154,10 +154,7 @@ const VERBS: &[Verb] = &[
     Verb { name: "explore", about: "per-path exploration of every __except filter",
         run: cmd_explore,
         operands: &[("<dll>", "a calibrated DLL name or the loopy family (see `list`)")],
-        flags: &[&[
-            switch("--independent", "re-blast every path instead of incremental solving"),
-            JSON,
-        ]] },
+        flags: &[&[JSON]] },
     Verb { name: "cfg", about: "static CFG recovery + syscall sites", run: cmd_cfg,
         operands: &[("<server>", "a server target (see `list`)")], flags: &[] },
     Verb { name: "scan", about: "traceless syscall-site scan (one module, or --all)",
@@ -628,6 +625,8 @@ impl Serialize for FilterRow {
 #[derive(Serialize)]
 struct Exploration {
     module: String,
+    /// Always `"incremental"`: the explorer solves sibling paths on one
+    /// incremental session.
     mode: &'static str,
     filters: Vec<FilterRow>,
     summary: VerdictCounts,
@@ -651,13 +650,11 @@ struct SolverCounters {
 
 /// `crash-resist explore`: run the path-enumerating [`FilterExplorer`]
 /// over every `__except` filter of one generated module and report
-/// per-filter path verdicts. `--independent` switches the solver to
-/// the one-blast-per-path differential reference mode; `--json` frames
-/// the deterministic per-filter records in a [`ReportKind::Explore`]
-/// envelope with the aggregated solver counters as `metrics`.
+/// per-filter path verdicts. `--json` frames the deterministic
+/// per-filter records in a [`ReportKind::Explore`] envelope with the
+/// aggregated solver counters as `metrics`.
 fn cmd_explore(a: &Args) -> Outcome {
     let name = &a.operands[0];
-    let independent = a.has("--independent");
     let image = match name.as_str() {
         "loopy" => cr_targets::browsers::generate_loopy_dll(),
         _ => calibrated_dll(name).ok_or_else(|| {
@@ -687,7 +684,7 @@ fn cmd_explore(a: &Args) -> Outcome {
         .iter()
         .map(|(n, &rva)| (rva, n.as_str()))
         .collect();
-    let explorer = FilterExplorer::builder().incremental(!independent).build();
+    let explorer = FilterExplorer::builder().build();
     let rows: Vec<FilterRow> = filter_rvas
         .iter()
         .map(|&rva| FilterRow {
@@ -697,11 +694,6 @@ fn cmd_explore(a: &Args) -> Outcome {
             report: explorer.explore(&code, base + rva as u64),
         })
         .collect();
-    let mode = if independent {
-        "independent"
-    } else {
-        "incremental"
-    };
 
     if a.has("--json") {
         let count = |w: &str| {
@@ -717,7 +709,7 @@ fn cmd_explore(a: &Args) -> Outcome {
         };
         let results = Exploration {
             module: image.name,
-            mode,
+            mode: "incremental",
             summary: VerdictCounts {
                 accepts: count("accepts-av"),
                 rejects: count("rejects-av"),
@@ -734,7 +726,7 @@ fn cmd_explore(a: &Args) -> Outcome {
     }
 
     println!(
-        "{}: {} unique filter(s), {mode} mode",
+        "{}: {} unique filter(s), incremental mode",
         image.name,
         rows.len()
     );

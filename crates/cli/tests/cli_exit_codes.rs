@@ -68,6 +68,8 @@ fn usage_errors_exit_two() {
         &["campaign", "--spec", "/nonexistent/spec.json"],
         // Exploration is sequential; neither worker-count flag exists.
         &["explore", "loopy", "--jobs", "2"],
+        // The explorer has one solving mode, so there is no switch.
+        &["explore", "loopy", "--independent"],
         &["campaign", "--symex-jobs", "2"],
         &["arena", "--bogus-flag"],
         // --summary-json and --plan are chaos-only; arena must reject them.

@@ -8,9 +8,8 @@
 //! 3. explore every filter path-by-path ([`cr_symex::FilterExplorer`],
 //!    feasibility-pruned forking with incremental solving) and ask the
 //!    solver whether any path accepts `EXCEPTION_ACCESS_VIOLATION`
-//!    (returns ≠ `EXCEPTION_CONTINUE_SEARCH`); the single-shot
-//!    [`cr_symex::SymExec`] pipeline survives only as a
-//!    differential-testing reference;
+//!    (returns ≠ `EXCEPTION_CONTINUE_SEARCH`) — the crate's one
+//!    decision procedure;
 //! 4. classify each scope: catch-all scopes and scopes whose filter
 //!    accepts (or defeats the analysis) survive — the "after SB" set;
 //! 5. cross-reference surviving guarded regions against an execution

@@ -1,6 +1,6 @@
 //! Consistent-hash routing over the worker set.
 //!
-//! Each worker owns [`VNODES`] points on a `u64` ring; a request's
+//! Each worker owns 64 points (`VNODES`) on a `u64` ring; a request's
 //! route key lands on the first point at or after it (wrapping). The
 //! property the fleet cares about: removing one worker only moves the
 //! keys that worker owned — every other module keeps hitting the node

@@ -220,7 +220,7 @@ impl Supervisor {
 
     /// One heartbeat pass over the fleet: ping the living, restart the
     /// dead, quarantine the crash-looping. Called by the monitor
-    /// thread every [`HEARTBEAT_MS`].
+    /// thread every 25 ms (`HEARTBEAT_MS`).
     pub fn heartbeat_tick(&self) {
         if self.shutdown.load(Ordering::Relaxed) {
             return;

@@ -12,7 +12,7 @@ const BACKOFF_CAP_MS: u64 = 2_000;
 
 /// The sleep before Busy retry number `attempt` (0-based): the
 /// server's `retry_after_ms` hint doubled per attempt, capped at
-/// [`BACKOFF_CAP_MS`], plus seeded jitter in `[0, delay/2]` so a herd
+/// 2 s (`BACKOFF_CAP_MS`), plus seeded jitter in `[0, delay/2]` so a herd
 /// of rejected clients does not re-arrive in lockstep. Deterministic
 /// in `(seed, request_id, attempt)`.
 pub fn backoff_delay_ms(hint_ms: u64, attempt: u32, seed: u64, request_id: u64) -> u64 {

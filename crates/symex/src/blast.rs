@@ -1,31 +1,33 @@
-//! Tseitin bit-blasting of bitvector constraints to CNF.
+//! Tseitin bit-blasting of bitvector constraints to CNF, decided
+//! incrementally.
 //!
-//! Turns [`BoolExpr`] constraint sets into [`Cnf`] formulas and decodes
-//! satisfying assignments back into per-variable bitvector values. This is
-//! the decision procedure behind filter vetting: the only query class the
-//! pipeline needs is QF_BV satisfiability, so a ripple-carry/comparator
-//! encoding plus DPLL replaces the paper's use of Z3.
+//! A [`Session`] turns [`BoolExpr`] constraints into one growing
+//! [`Cnf`] and decides it under assumptions with [`IncrementalSat`];
+//! satisfying assignments are decoded back into per-variable bitvector
+//! values. This is the decision procedure behind filter vetting: the
+//! only query class the pipeline needs is QF_BV satisfiability, so a
+//! ripple-carry/comparator encoding plus DPLL replaces the paper's use
+//! of Z3. [`check`] is a one-query session.
 //!
 //! The procedure runs on interned terms (see [`crate::term`]): each
-//! query is folded into a persistent per-thread [`TermArena`], so the
+//! constraint is folded into the session's [`TermArena`], so the
 //! encoder keys its cache by `u32` term id instead of hashing whole
-//! subtrees, structurally equal subterms are encoded once regardless of
-//! how the `Rc` DAG was built, and the per-worker scratch (arena,
-//! clause buffer, literal pools) is reused across queries. Beneath the
-//! caller-visible verdict caches sits a process-wide **normalized-query
-//! memo**: the constraint set is canonicalized with variables renamed
-//! in first-occurrence order, and structurally identical queries — the
+//! subtrees, and structurally equal subterms are encoded once
+//! regardless of how the `Rc` DAG was built. Beneath the caller-visible
+//! verdict caches sits a process-wide **normalized-query memo**: the
+//! constraint set is canonicalized with variables renamed in
+//! first-occurrence order, and structurally identical queries — the
 //! same filter logic duplicated across modules under different byte
 //! encodings or variable names — are answered without blasting or
 //! solving. The memo is sound because blasting and solving are pure
 //! deterministic functions of the normalized structure.
 
 use crate::expr::{mask_of, BinOp, BoolExpr, CmpOp, Expr};
-use crate::sat::{solve, solve_reference, Cnf, IncrementalSat, SolveOutcome};
+use crate::sat::{Cnf, IncrementalSat, SolveOutcome};
 use crate::term::{
     sym_intern, sym_lookup, sym_name, BoolId, BoolNode, SymId, TermArena, TermId, TermNode,
 };
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,8 +169,6 @@ struct Tally {
 }
 
 thread_local! {
-    static REFERENCE: Cell<bool> = const { Cell::new(false) };
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
     static TALLY: RefCell<Option<Tally>> = const { RefCell::new(None) };
 }
 
@@ -218,20 +218,6 @@ pub fn tally_work<R>(f: impl FnOnce() -> R) -> (R, SolverCounters) {
     let out = f();
     let counts = TALLY.with(|t| t.borrow().as_ref().map(|t| t.counts));
     (out, counts.unwrap_or_default())
-}
-
-/// Run `f` with [`check`] routed through the pre-interning pipeline
-/// (`Rc`-pointer-keyed blaster, scan-every-clause DPLL, no memo) on
-/// this thread. Test and benchmark hook: the differential proptests
-/// compare verdicts across both pipelines, and `solver_bench` uses it
-/// as the measured baseline.
-pub fn with_reference_pipeline<R>(f: impl FnOnce() -> R) -> R {
-    REFERENCE.with(|r| {
-        let prev = r.replace(true);
-        let out = f();
-        r.set(prev);
-        out
-    })
 }
 
 /// A satisfying assignment: variable → value. Stores interned
@@ -287,100 +273,10 @@ impl SatResult {
     }
 }
 
-/// Check satisfiability of the conjunction of `constraints`.
+/// Check satisfiability of the conjunction of `constraints`: one query
+/// on a fresh [`Session`].
 pub fn check(constraints: &[BoolExpr]) -> SatResult {
-    count_call();
-    if REFERENCE.with(Cell::get) {
-        return reference::check_reference_inner(constraints);
-    }
-    SCRATCH.with(|s| check_interned(&mut s.borrow_mut(), constraints))
-}
-
-/// Check satisfiability through the pre-interning pipeline directly.
-/// Same verdict semantics as [`check`] (see [`with_reference_pipeline`]).
-///
-/// Routed through the arena-native entry first: the constraints are
-/// interned into this thread's [`TermArena`] exactly as [`check`] would
-/// intern them, so a differential run compares the two pipelines over
-/// *identical* interner state instead of leaving the production arena
-/// cold while the reference runs in its own private world.
-pub fn check_reference(constraints: &[BoolExpr]) -> SatResult {
-    count_call();
-    SCRATCH.with(|s| {
-        let s = &mut *s.borrow_mut();
-        // Per-call pointer memo, same contract as `begin_query`: `Rc`
-        // identity must not outlive the call.
-        s.ptr_memo.clear();
-        for c in constraints {
-            let _ = s.intern_bool(c);
-        }
-    });
-    reference::check_reference_inner(constraints)
-}
-
-/// Size of this thread's term interner as `(terms, bools)`.
-///
-/// Test hook for the arena-native routing contract: after
-/// [`check_reference`] has interned a constraint set, a production
-/// [`check`] of the same set must not grow the arena further.
-pub fn thread_arena_size() -> (usize, usize) {
-    SCRATCH.with(|s| {
-        let s = s.borrow();
-        (s.arena.num_terms(), s.arena.num_bools())
-    })
-}
-
-fn check_interned(s: &mut Scratch, constraints: &[BoolExpr]) -> SatResult {
-    let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "solver.check");
-    s.begin_query();
-    for c in constraints {
-        let id = s.intern_bool(c);
-        if id == TermArena::FALSE {
-            span.set_detail(|| "memo=short verdict=unsat".into());
-            return SatResult::Unsat;
-        }
-        if id == TermArena::TRUE {
-            continue;
-        }
-        s.roots.push(id);
-    }
-    let shape = s.arena.normalize(&s.roots);
-    if let Some(entry) = memo_probe(&shape.key) {
-        span.set_detail(|| format!("memo=hit vars={}", shape.vars.len()));
-        return match entry {
-            MemoEntry::Unsat => SatResult::Unsat,
-            MemoEntry::Unknown(e) => SatResult::Unknown(e),
-            MemoEntry::Sat(vals) => SatResult::Sat(Model::from_pairs(
-                shape
-                    .vars
-                    .iter()
-                    .zip(vals)
-                    .map(|(&(sym, _), v)| (sym, v))
-                    .collect(),
-            )),
-        };
-    }
-    let result = s.blast_and_solve();
-    let entry = match &result {
-        SatResult::Unsat => MemoEntry::Unsat,
-        SatResult::Unknown(e) => MemoEntry::Unknown(e),
-        SatResult::Sat(model) => MemoEntry::Sat(
-            shape
-                .vars
-                .iter()
-                .map(|&(sym, _)| model.get_sym(sym).unwrap_or(0))
-                .collect(),
-        ),
-    };
-    span.set_detail(|| {
-        format!(
-            "memo=miss vars={} clauses={}",
-            shape.vars.len(),
-            s.cnf.num_clauses()
-        )
-    });
-    memo_insert(shape.key, entry);
-    result
+    Session::new().check_assuming(constraints)
 }
 
 /// One constraint on a [`Session`]'s stack.
@@ -397,29 +293,30 @@ enum Pushed {
 /// An incremental satisfiability session: a constraint stack solved by
 /// assumptions over persistent two-watched-literal state.
 ///
-/// This is the decision-procedure side of the path explorer's one-door
-/// API. Where [`check`] re-blasts every query from scratch, a `Session`
-/// owns a private [`Scratch`] whose encoder epoch never advances: every
-/// pushed constraint is interned and Tseitin-encoded exactly once into
-/// one monotone [`Cnf`], the [`IncrementalSat`] absorbs new clauses
-/// append-only, and each [`Session::check`] decides the current stack
-/// by passing the live constraint roots as *assumption literals*.
-/// Sibling paths that share a constraint prefix therefore share its
-/// encoding and its watch lists — popping back to the fork point costs
-/// nothing and re-checking the other side re-blasts nothing.
+/// This is the crate's one decision procedure; the path explorer and
+/// [`check`] both use it. Every pushed constraint is interned and
+/// Tseitin-encoded exactly once into one monotone [`Cnf`], the
+/// [`IncrementalSat`] absorbs new clauses append-only, and each
+/// [`Session::check`] decides the current stack by passing the live
+/// constraint roots as *assumption literals*. Sibling paths that share
+/// a constraint prefix therefore share its encoding and its watch
+/// lists — popping back to the fork point costs nothing and
+/// re-checking the other side re-blasts nothing.
 ///
 /// Soundness of [`Session::pop_to`] without clause retraction: Tseitin
 /// clauses only define gate variables (`g ↔ f(inputs)`); a constraint
 /// is asserted solely by its root assumption literal, so dropping the
 /// frame fully retracts it (see [`IncrementalSat`]).
 ///
-/// Queries still flow through the process-wide normalized-query memo,
-/// keyed on the *shape of the whole live constraint stack*, and bump
-/// the same [`solver_calls`]/[`memo_lookups`]/[`memo_hits`] counters as
-/// [`check`] — warm reruns of an exploration answer every path from
-/// the memo with zero solving.
+/// Queries flow through the process-wide normalized-query memo, keyed
+/// on the *shape of the whole live constraint stack*, and count in the
+/// open [`tally_work`] scope as
+/// [`solver_calls`](SolverCounters::solver_calls),
+/// [`memo_lookups`](SolverCounters::memo_lookups) and
+/// [`memo_hits`](SolverCounters::memo_hits) — warm reruns of an
+/// exploration answer every path from the memo with zero solving.
 pub struct Session {
-    s: Scratch,
+    s: Encoder,
     inc: IncrementalSat,
     stack: Vec<Pushed>,
     /// Live `Pushed::False` frames (stack is trivially UNSAT if > 0).
@@ -435,10 +332,8 @@ impl Default for Session {
 impl Session {
     /// A fresh session with an empty constraint stack.
     pub fn new() -> Session {
-        let mut s = Scratch::new();
-        s.begin_query();
         Session {
-            s,
+            s: Encoder::new(),
             inc: IncrementalSat::new(),
             stack: Vec::new(),
             false_count: 0,
@@ -599,40 +494,30 @@ impl Session {
 }
 
 /// One query variable: interned name, declared width, and where its
-/// fresh bit literals start in [`Scratch::var_lits`].
+/// fresh bit literals start in [`Encoder::var_lits`].
 struct QueryVar {
     sym: SymId,
     bits: u32,
     lit_off: u32,
 }
 
-/// Per-thread decision-procedure state, persistent across queries.
-///
-/// The arena and its id-indexed caches live for the thread; per-query
-/// state (clause buffer, literal pools) is reset by [`Scratch::begin_query`]
-/// without freeing allocations, and the id-indexed encoder caches are
-/// invalidated wholesale by bumping `epoch` instead of clearing.
-struct Scratch {
+/// A session's encoder state: its term arena, the monotone CNF and
+/// the id-indexed encoding caches, all living as long as the session.
+struct Encoder {
     arena: TermArena,
-    /// `Rc::as_ptr` → interned id for the current query only (`Rc`
-    /// allocations are reused across queries, so pointer identity must
-    /// not outlive the query).
+    /// `Rc::as_ptr` → interned id for the current push or check only
+    /// (`Rc` allocations are reused, so pointer identity must not
+    /// outlive the call).
     ptr_memo: HashMap<usize, TermId>,
-    /// Interned non-trivial constraint roots of the current query.
-    roots: Vec<BoolId>,
     cnf: Cnf,
-    /// Constant-true literal of the current query's formula.
+    /// Constant-true literal of the formula.
     t: i32,
-    epoch: u64,
     /// Encoder cache: term id → offset of its 64 bit-literals in `pool`.
-    enc_epoch: Vec<u64>,
-    enc_off: Vec<u32>,
+    enc_off: Vec<Option<u32>>,
     /// Encoder cache: bool id → its CNF literal.
-    blit_epoch: Vec<u64>,
-    blit: Vec<i32>,
-    /// Symbol id → index into `query_vars` for the current query.
-    var_epoch: Vec<u64>,
-    var_slot: Vec<u32>,
+    blit: Vec<Option<i32>>,
+    /// Symbol id → index into `query_vars`.
+    var_slot: Vec<Option<u32>>,
     query_vars: Vec<QueryVar>,
     /// Fresh bit literals of every query variable, concatenated.
     var_lits: Vec<i32>,
@@ -640,38 +525,23 @@ struct Scratch {
     pool: Vec<i32>,
 }
 
-impl Scratch {
-    fn new() -> Scratch {
-        Scratch {
+impl Encoder {
+    fn new() -> Encoder {
+        let mut cnf = Cnf::new();
+        let t = cnf.fresh();
+        cnf.clause(&[t]);
+        Encoder {
             arena: TermArena::new(),
             ptr_memo: HashMap::new(),
-            roots: Vec::new(),
-            cnf: Cnf::new(),
-            t: 0,
-            epoch: 0,
-            enc_epoch: Vec::new(),
+            cnf,
+            t,
             enc_off: Vec::new(),
-            blit_epoch: Vec::new(),
             blit: Vec::new(),
-            var_epoch: Vec::new(),
             var_slot: Vec::new(),
             query_vars: Vec::new(),
             var_lits: Vec::new(),
             pool: Vec::new(),
         }
-    }
-
-    fn begin_query(&mut self) {
-        self.epoch += 1;
-        self.ptr_memo.clear();
-        self.roots.clear();
-        self.query_vars.clear();
-        self.var_lits.clear();
-        self.pool.clear();
-        self.cnf.clear();
-        self.t = self.cnf.fresh();
-        let t = self.t;
-        self.cnf.clause(&[t]);
     }
 
     fn intern_expr(&mut self, e: &Rc<Expr>) -> TermId {
@@ -721,34 +591,6 @@ impl Scratch {
             BoolExpr::Not(a) => {
                 let ia = self.intern_bool(a);
                 self.arena.not_b(ia)
-            }
-        }
-    }
-
-    fn blast_and_solve(&mut self) -> SatResult {
-        for i in 0..self.roots.len() {
-            let root = self.roots[i];
-            match self.bool_lit(root) {
-                Ok(l) => self.cnf.clause(&[l]),
-                Err(e) => return SatResult::Unknown(e),
-            }
-        }
-        match solve(&self.cnf) {
-            SolveOutcome::Unsat => SatResult::Unsat,
-            SolveOutcome::BudgetExhausted => SatResult::Unknown("SAT decision budget exhausted"),
-            SolveOutcome::Sat(assign) => {
-                let mut pairs = Vec::with_capacity(self.query_vars.len());
-                for qv in &self.query_vars {
-                    let mut v = 0u64;
-                    let lits = &self.var_lits[qv.lit_off as usize..(qv.lit_off + qv.bits) as usize];
-                    for (i, &lit) in lits.iter().enumerate() {
-                        if assign[(lit.unsigned_abs() - 1) as usize] {
-                            v |= 1 << i;
-                        }
-                    }
-                    pairs.push((qv.sym, v & mask_of(qv.bits)));
-                }
-                SatResult::Sat(Model::from_pairs(pairs))
             }
         }
     }
@@ -819,39 +661,37 @@ impl Scratch {
         off
     }
 
-    /// Bit literals of a variable for the current query, creating its
-    /// fresh CNF variables on first use (keyed by symbol, mirroring the
-    /// name-keyed table of the reference blaster).
+    /// Index of a variable in `query_vars`, creating its fresh CNF bit
+    /// variables on first use (keyed by symbol).
     fn var_slot_of(&mut self, sym: SymId, bits: u32) -> usize {
         let si = sym.index();
-        if self.var_epoch.len() <= si {
-            self.var_epoch.resize(si + 1, 0);
-            self.var_slot.resize(si + 1, 0);
+        if self.var_slot.len() <= si {
+            self.var_slot.resize(si + 1, None);
         }
-        if self.var_epoch[si] != self.epoch {
-            let lit_off = self.var_lits.len() as u32;
-            for _ in 0..bits {
-                let l = self.cnf.fresh();
-                self.var_lits.push(l);
-            }
-            self.var_slot[si] = self.query_vars.len() as u32;
-            self.query_vars.push(QueryVar { sym, bits, lit_off });
-            self.var_epoch[si] = self.epoch;
+        if let Some(slot) = self.var_slot[si] {
+            return slot as usize;
         }
-        self.var_slot[si] as usize
+        let lit_off = self.var_lits.len() as u32;
+        for _ in 0..bits {
+            let l = self.cnf.fresh();
+            self.var_lits.push(l);
+        }
+        let slot = self.query_vars.len();
+        self.query_vars.push(QueryVar { sym, bits, lit_off });
+        self.var_slot[si] = Some(slot as u32);
+        slot
     }
 
     /// Encode term `id`, returning the offset of its 64 bit-literals
-    /// (LSB first) in `pool`. Cached per term id for the query.
+    /// (LSB first) in `pool`. Cached per term id.
     fn expr_bits(&mut self, id: TermId) -> Result<usize, &'static str> {
         let ti = id.index();
-        if self.enc_epoch.len() <= ti {
-            let n = self.arena.num_terms().max(ti + 1);
-            self.enc_epoch.resize(n, 0);
-            self.enc_off.resize(n, 0);
+        if self.enc_off.len() <= ti {
+            self.enc_off
+                .resize(self.arena.num_terms().max(ti + 1), None);
         }
-        if self.enc_epoch[ti] == self.epoch {
-            return Ok(self.enc_off[ti] as usize);
+        if let Some(off) = self.enc_off[ti] {
+            return Ok(off as usize);
         }
         let off = match self.arena.term(id) {
             TermNode::Const(v) => {
@@ -935,8 +775,7 @@ impl Scratch {
                 off
             }
         };
-        self.enc_epoch[ti] = self.epoch;
-        self.enc_off[ti] = off as u32;
+        self.enc_off[ti] = Some(off as u32);
         Ok(off)
     }
 
@@ -993,17 +832,15 @@ impl Scratch {
         acc
     }
 
-    /// CNF literal of boolean term `id`. Cached per bool id for the
-    /// query (the arena makes boolean structure a DAG too).
+    /// CNF literal of boolean term `id`. Cached per bool id (the arena
+    /// makes boolean structure a DAG too).
     fn bool_lit(&mut self, id: BoolId) -> Result<i32, &'static str> {
         let bi = id.index();
-        if self.blit_epoch.len() <= bi {
-            let n = self.arena.num_bools().max(bi + 1);
-            self.blit_epoch.resize(n, 0);
-            self.blit.resize(n, 0);
+        if self.blit.len() <= bi {
+            self.blit.resize(self.arena.num_bools().max(bi + 1), None);
         }
-        if self.blit_epoch[bi] == self.epoch {
-            return Ok(self.blit[bi]);
+        if let Some(lit) = self.blit[bi] {
+            return Ok(lit);
         }
         let lit = match self.arena.bool_node(id) {
             BoolNode::True => self.t,
@@ -1028,265 +865,8 @@ impl Scratch {
             }
             BoolNode::Not(a) => -self.bool_lit(a)?,
         };
-        self.blit_epoch[bi] = self.epoch;
-        self.blit[bi] = lit;
+        self.blit[bi] = Some(lit);
         Ok(lit)
-    }
-}
-
-/// The pre-interning pipeline, kept verbatim: an `Rc`-pointer-keyed
-/// Tseitin blaster feeding the scan-every-clause DPLL. Baseline for
-/// `solver_bench` and oracle for the differential proptests.
-mod reference {
-    use super::*;
-
-    pub(super) fn check_reference_inner(constraints: &[BoolExpr]) -> SatResult {
-        let mut b = Blaster::new();
-        let mut roots = Vec::new();
-        for c in constraints {
-            match c {
-                BoolExpr::True => continue,
-                BoolExpr::False => return SatResult::Unsat,
-                _ => match b.bool_lit(c) {
-                    Ok(l) => roots.push(l),
-                    Err(e) => return SatResult::Unknown(e),
-                },
-            }
-        }
-        for l in roots {
-            b.cnf.clause(&[l]);
-        }
-        match solve_reference(&b.cnf) {
-            SolveOutcome::Unsat => SatResult::Unsat,
-            SolveOutcome::BudgetExhausted => SatResult::Unknown("SAT decision budget exhausted"),
-            SolveOutcome::Sat(assign) => {
-                let mut pairs = Vec::with_capacity(b.vars.len());
-                for (name, (bits, lits)) in &b.vars {
-                    let mut v = 0u64;
-                    for (i, &lit) in lits.iter().enumerate() {
-                        if assign[(lit.unsigned_abs() - 1) as usize] {
-                            v |= 1 << i;
-                        }
-                    }
-                    pairs.push((sym_intern(name), v & mask_of(*bits)));
-                }
-                SatResult::Sat(Model::from_pairs(pairs))
-            }
-        }
-    }
-
-    struct Blaster {
-        pub(super) cnf: Cnf,
-        /// Constant-true literal.
-        t: i32,
-        /// name → (bits, bit literals LSB-first, length = bits).
-        pub(super) vars: HashMap<String, (u32, Vec<i32>)>,
-        /// Expression cache by DAG node identity.
-        cache: HashMap<usize, Vec<i32>>,
-    }
-
-    type Bits = Vec<i32>;
-
-    impl Blaster {
-        fn new() -> Blaster {
-            let mut cnf = Cnf::new();
-            let t = cnf.fresh();
-            cnf.clause(&[t]);
-            Blaster {
-                cnf,
-                t,
-                vars: HashMap::new(),
-                cache: HashMap::new(),
-            }
-        }
-
-        fn lit_false(&self) -> i32 {
-            -self.t
-        }
-
-        fn const_bits(&self, v: u64) -> Bits {
-            (0..64)
-                .map(|i| if v & (1 << i) != 0 { self.t } else { -self.t })
-                .collect()
-        }
-
-        fn and_gate(&mut self, a: i32, b: i32) -> i32 {
-            if a == self.t {
-                return b;
-            }
-            if b == self.t {
-                return a;
-            }
-            if a == -self.t || b == -self.t {
-                return -self.t;
-            }
-            let o = self.cnf.fresh();
-            self.cnf.clause(&[-o, a]);
-            self.cnf.clause(&[-o, b]);
-            self.cnf.clause(&[o, -a, -b]);
-            o
-        }
-
-        fn or_gate(&mut self, a: i32, b: i32) -> i32 {
-            -self.and_gate(-a, -b)
-        }
-
-        fn xor_gate(&mut self, a: i32, b: i32) -> i32 {
-            if a == self.t {
-                return -b;
-            }
-            if a == -self.t {
-                return b;
-            }
-            if b == self.t {
-                return -a;
-            }
-            if b == -self.t {
-                return a;
-            }
-            let o = self.cnf.fresh();
-            self.cnf.clause(&[-o, a, b]);
-            self.cnf.clause(&[-o, -a, -b]);
-            self.cnf.clause(&[o, -a, b]);
-            self.cnf.clause(&[o, a, -b]);
-            o
-        }
-
-        fn xor3(&mut self, a: i32, b: i32, c: i32) -> i32 {
-            let ab = self.xor_gate(a, b);
-            self.xor_gate(ab, c)
-        }
-
-        fn maj(&mut self, a: i32, b: i32, c: i32) -> i32 {
-            let ab = self.and_gate(a, b);
-            let ac = self.and_gate(a, c);
-            let bc = self.and_gate(b, c);
-            let t = self.or_gate(ab, ac);
-            self.or_gate(t, bc)
-        }
-
-        fn adder(&mut self, a: &Bits, b: &Bits, carry_in: i32) -> Bits {
-            let mut out = Vec::with_capacity(64);
-            let mut carry = carry_in;
-            for i in 0..64 {
-                out.push(self.xor3(a[i], b[i], carry));
-                carry = self.maj(a[i], b[i], carry);
-            }
-            out
-        }
-
-        fn expr_bits(&mut self, e: &Rc<Expr>) -> Result<Bits, &'static str> {
-            let key = Rc::as_ptr(e) as usize;
-            if let Some(b) = self.cache.get(&key) {
-                return Ok(b.clone());
-            }
-            let bits = match &**e {
-                Expr::Const(v) => self.const_bits(*v),
-                Expr::Var { name, bits } => {
-                    if !self.vars.contains_key(name) {
-                        let lits: Vec<i32> = (0..*bits).map(|_| self.cnf.fresh()).collect();
-                        self.vars.insert(name.clone(), (*bits, lits));
-                    }
-                    let (nbits, lits) = &self.vars[name];
-                    let mut full = lits.clone();
-                    debug_assert_eq!(*nbits as usize, full.len());
-                    full.resize(64, self.lit_false());
-                    full
-                }
-                Expr::Bin(op, a, b) => {
-                    let ab = self.expr_bits(a)?;
-                    let bb = self.expr_bits(b)?;
-                    match op {
-                        BinOp::And => (0..64).map(|i| self.and_gate(ab[i], bb[i])).collect(),
-                        BinOp::Or => (0..64).map(|i| self.or_gate(ab[i], bb[i])).collect(),
-                        BinOp::Xor => (0..64).map(|i| self.xor_gate(ab[i], bb[i])).collect(),
-                        BinOp::Add => self.adder(&ab, &bb, self.lit_false()),
-                        BinOp::Sub => {
-                            let nb: Bits = bb.iter().map(|&l| -l).collect();
-                            self.adder(&ab, &nb, self.t)
-                        }
-                        BinOp::Shl | BinOp::Shr => {
-                            let n: usize =
-                                b.as_const().ok_or("shift by non-constant amount")? as usize;
-                            let mut out = vec![self.lit_false(); 64];
-                            for (i, o) in out.iter_mut().enumerate() {
-                                let src = if *op == BinOp::Shl {
-                                    i.checked_sub(n)
-                                } else {
-                                    let j = i + n;
-                                    (j < 64).then_some(j)
-                                };
-                                if let Some(s) = src {
-                                    *o = ab[s];
-                                }
-                            }
-                            out
-                        }
-                    }
-                }
-                Expr::Not(a) => {
-                    let ab = self.expr_bits(a)?;
-                    ab.iter().map(|&l| -l).collect()
-                }
-            };
-            self.cache.insert(key, bits.clone());
-            Ok(bits)
-        }
-
-        fn eq_lit(&mut self, a: &Bits, b: &Bits, width: u32) -> i32 {
-            let mut acc = self.t;
-            for i in 0..width as usize {
-                let x = self.xor_gate(a[i], b[i]);
-                acc = self.and_gate(acc, -x);
-            }
-            acc
-        }
-
-        fn ult_lit(&mut self, a: &Bits, b: &Bits, width: u32) -> i32 {
-            // LSB-to-MSB borrow chain: lt = (!a & b) | ((a == b) & lt_prev)
-            let mut lt = self.lit_false();
-            for i in 0..width as usize {
-                let na_and_b = self.and_gate(-a[i], b[i]);
-                let eq = -self.xor_gate(a[i], b[i]);
-                let keep = self.and_gate(eq, lt);
-                lt = self.or_gate(na_and_b, keep);
-            }
-            lt
-        }
-
-        fn bool_lit(&mut self, e: &BoolExpr) -> Result<i32, &'static str> {
-            Ok(match e {
-                BoolExpr::True => self.t,
-                BoolExpr::False => self.lit_false(),
-                BoolExpr::Cmp { op, width, a, b } => {
-                    let ab = self.expr_bits(a)?;
-                    let bb = self.expr_bits(b)?;
-                    match op {
-                        CmpOp::Eq => self.eq_lit(&ab, &bb, *width),
-                        CmpOp::Ne => -self.eq_lit(&ab, &bb, *width),
-                        CmpOp::Ult => self.ult_lit(&ab, &bb, *width),
-                        CmpOp::Slt => {
-                            // Flip sign bits then unsigned compare.
-                            let s = (*width - 1) as usize;
-                            let mut af = ab.clone();
-                            let mut bf = bb.clone();
-                            af[s] = -af[s];
-                            bf[s] = -bf[s];
-                            self.ult_lit(&af, &bf, *width)
-                        }
-                    }
-                }
-                BoolExpr::And(a, b) => {
-                    let (la, lb) = (self.bool_lit(a)?, self.bool_lit(b)?);
-                    self.and_gate(la, lb)
-                }
-                BoolExpr::Or(a, b) => {
-                    let (la, lb) = (self.bool_lit(a)?, self.bool_lit(b)?);
-                    self.or_gate(la, lb)
-                }
-                BoolExpr::Not(a) => -self.bool_lit(a)?,
-            })
-        }
     }
 }
 
@@ -1510,14 +1090,14 @@ mod tests {
         let d1 = sess.depth();
         sess.push(&b).unwrap();
         sess.push(&c).unwrap();
-        // Full stack vs single-shot: same verdict, model satisfies.
+        // Full stack vs a one-query `check`: same verdict, model satisfies.
         match (sess.check(), check(&[a.clone(), b.clone(), c.clone()])) {
             (SatResult::Sat(m), SatResult::Sat(_)) => {
                 for cs in [&a, &b, &c] {
                     assert!(cs.eval(&|n| m.get(n)), "session model violates {cs:?}");
                 }
             }
-            (g, w) => panic!("session {g:?} vs single-shot {w:?}"),
+            (g, w) => panic!("session {g:?} vs check {w:?}"),
         }
         // Pop to the fork and take a contradictory sibling.
         sess.pop_to(d1);
@@ -1592,7 +1172,7 @@ mod tests {
             let mut sess = Session::new();
             sess.push(&eq64(p, Expr::c(0xDEAD_0001))).unwrap();
             let r1 = sess.check();
-            // Alpha-equivalent single-shot query hits the session's entry.
+            // An alpha-equivalent `check` hits the session's entry.
             (r1, check(&[eq64(q, Expr::c(0xDEAD_0001))]))
         });
         assert_eq!(tally.solver_calls, 2, "both doors count as checks");
@@ -1654,82 +1234,5 @@ mod tests {
         });
         assert_eq!((outer.solver_calls, outer.memo_lookups), (2, 2));
         assert_eq!(outer.memo_hits, 1, "the outer scope saw the inner insert");
-    }
-
-    #[test]
-    fn check_reference_warms_the_production_interner() {
-        // Arena-native routing: after the reference door has interned a
-        // constraint set, the production door must find every term
-        // already interned.
-        let x = Expr::var("warm_ref_x", 24);
-        let cs = [
-            eq64(
-                Expr::bin(BinOp::Xor, x.clone(), Expr::c(0x5A5A)),
-                Expr::c(0x1234),
-            ),
-            BoolExpr::cmp(CmpOp::Ult, 24, x, Expr::c(0x10_0000)),
-        ];
-        let r_ref = check_reference(&cs);
-        let after_ref = thread_arena_size();
-        let r_prod = check(&cs);
-        let after_prod = thread_arena_size();
-        assert_eq!(
-            after_ref, after_prod,
-            "production check must not grow an arena the reference door already warmed"
-        );
-        assert_eq!(
-            std::mem::discriminant(&r_ref),
-            std::mem::discriminant(&r_prod)
-        );
-    }
-
-    #[test]
-    fn reference_pipeline_agrees() {
-        let x = Expr::var("ref_x", 16);
-        let y = Expr::var("ref_y", 16);
-        // Antisymmetric var-var compares at 4 bits: wide enough to
-        // exercise the comparator chain, small enough to stay inside
-        // the reference solver's decision budget (the watched solver
-        // proves the 16-bit variant in-budget; the baseline cannot).
-        let s = Expr::var("ref_s", 4);
-        let t = Expr::var("ref_t", 4);
-        let sets: Vec<Vec<BoolExpr>> = vec![
-            vec![eq64(x.clone(), Expr::c(7))],
-            vec![
-                BoolExpr::cmp(CmpOp::Ult, 4, s.clone(), t.clone()),
-                BoolExpr::cmp(CmpOp::Ult, 4, t.clone(), s.clone()),
-            ],
-            vec![
-                BoolExpr::cmp(CmpOp::Ult, 16, x.clone(), Expr::c(3)),
-                BoolExpr::cmp(CmpOp::Ult, 16, Expr::c(3), x.clone()),
-            ],
-            vec![BoolExpr::cmp(
-                CmpOp::Eq,
-                16,
-                Expr::bin(
-                    BinOp::And,
-                    Expr::bin(BinOp::Add, x.clone(), y.clone()),
-                    Expr::c(0xFF),
-                ),
-                Expr::c(0x42),
-            )],
-        ];
-        for cs in &sets {
-            let new = check(cs);
-            let old = with_reference_pipeline(|| check(cs));
-            let direct = check_reference(cs);
-            assert_eq!(
-                std::mem::discriminant(&new),
-                std::mem::discriminant(&old),
-                "pipelines must agree on {cs:?}"
-            );
-            assert_eq!(old, direct);
-            if let (SatResult::Sat(m), SatResult::Sat(mr)) = (&new, &old) {
-                for c in cs {
-                    assert!(c.eval(&|n| m.get(n)));
-                    assert!(c.eval(&|n| mr.get(n)));
-                }
-            }
-        }
     }
 }

@@ -1,23 +1,23 @@
-//! Symbolic execution of exception filter functions.
+//! Symbolic stepping of exception filter functions.
 //!
-//! Reproduces the paper's §IV-C analysis: given the machine code of a SEH
-//! exception filter, decide whether *any* input exception record with
-//! `ExceptionCode == EXCEPTION_ACCESS_VIOLATION` makes the filter return a
-//! value other than `EXCEPTION_CONTINUE_SEARCH` (0) — i.e. whether the
-//! guarded region can survive an access violation and is therefore a
-//! crash-resistance candidate.
+//! The paper's §IV-C analysis asks whether *any* input exception record
+//! with `ExceptionCode == EXCEPTION_ACCESS_VIOLATION` makes a SEH filter
+//! return a value other than `EXCEPTION_CONTINUE_SEARCH` (0), i.e.
+//! whether the guarded region can survive an access violation and is
+//! therefore a crash-resistance candidate.
 //!
-//! The executor forks on symbolic branches, keeps a path condition, and
-//! discharges the final query per path with the bit-blasting solver.
-//! Paths that leave the supported fragment (calls into other functions,
-//! indirect jumps to symbolic targets, symbolic store addresses) abort
-//! with a reason; a filter with only aborted paths is reported as
-//! [`FilterVerdict::Unknown`] — exactly the "requires manual verification"
+//! This module holds the parts of that analysis that know the machine:
+//! the Windows x64 filter-call harness (`SymState::filter_harness`),
+//! the one-instruction symbolic stepper (`step_inst`) and its memory
+//! and flags models. [`crate::FilterExplorer`] drives them path by
+//! path. Paths that leave the supported fragment (calls into other
+//! functions, indirect jumps, symbolic store addresses) abort with a
+//! reason; a filter with only aborted paths is reported as
+//! [`FilterVerdict::Unknown`], the "requires manual verification"
 //! bucket the paper describes for filters that call helper functions.
 
-use crate::blast::{check, SatResult};
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr};
-use cr_isa::{decode, AluOp, Cond, Inst, Mem as MemOp, Reg, Rm, ShiftOp, Width};
+use cr_isa::{AluOp, Cond, Inst, Mem as MemOp, Reg, Rm, ShiftOp, Width};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -30,7 +30,7 @@ pub const EXCEPTION_CONTINUE_SEARCH: i64 = 0;
 /// Filter return value: re-execute the faulting instruction.
 pub const EXCEPTION_CONTINUE_EXECUTION: i64 = -1;
 
-/// Provides instruction bytes to the executor.
+/// Provides instruction bytes to the explorer.
 pub trait CodeSource {
     /// Copy code bytes starting at `va` into `buf`, returning how many
     /// bytes were available.
@@ -72,19 +72,6 @@ pub enum FilterVerdict {
     Unknown(&'static str),
 }
 
-/// Result of analyzing one filter.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub struct FilterAnalysis {
-    /// The verdict.
-    pub verdict: FilterVerdict,
-    /// Number of completed (returning) paths.
-    pub completed_paths: usize,
-    /// Number of aborted paths, with reasons.
-    pub aborted_paths: Vec<&'static str>,
-    /// Total instructions symbolically executed.
-    pub steps: usize,
-}
-
 /// Symbolic exception-record harness addresses (arbitrary, concrete).
 const PTRS_ADDR: u64 = 0x7_0000_0000;
 const RECORD_ADDR: u64 = 0x7_0000_0100;
@@ -109,7 +96,8 @@ pub(crate) struct SymState {
     /// Concrete address → (value expr, width bits).
     mem: HashMap<u64, (Rc<Expr>, u32)>,
     flags: Option<FlagsDef>,
-    pub(crate) path: Vec<BoolExpr>,
+    /// Number of branch conditions asserted on this path.
+    pub(crate) depth: usize,
     pub(crate) rip: u64,
     pub(crate) steps: usize,
 }
@@ -137,7 +125,7 @@ impl SymState {
             regs,
             mem,
             flags: None,
-            path: Vec::new(),
+            depth: 0,
             rip: entry,
             steps: 0,
         }
@@ -153,44 +141,36 @@ impl SymState {
 }
 
 pub(crate) enum PathEnd {
-    Ret {
-        value: Rc<Expr>,
-        path: Vec<BoolExpr>,
-    },
+    /// The path returned; the value is `eax`.
+    Ret(Rc<Expr>),
     Aborted(&'static str),
 }
 
-/// Bounded symbolic executor for filter functions.
-#[derive(Debug, Clone, Copy)]
-pub struct SymExec {
-    /// Maximum paths explored before giving up.
-    pub max_paths: usize,
-    /// Maximum instructions per path.
-    pub max_steps: usize,
-}
-
-impl Default for SymExec {
-    fn default() -> Self {
-        SymExec {
-            max_paths: 64,
-            max_steps: STEP_BUDGET_OVERRIDE.with(|o| o.get()).unwrap_or(512),
-        }
-    }
-}
+/// Instructions per path when no [`with_step_budget`] override is
+/// active on this thread.
+const DEFAULT_MAX_STEPS: usize = 512;
 
 thread_local! {
     static STEP_BUDGET_OVERRIDE: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
 }
 
-/// Run `f` with every [`SymExec::default`] on this thread clamped to
-/// `max_steps` instructions per path.
+/// This thread's per-path step budget: the innermost
+/// [`with_step_budget`] override, or 512.
+pub(crate) fn default_max_steps() -> usize {
+    STEP_BUDGET_OVERRIDE
+        .with(|o| o.get())
+        .unwrap_or(DEFAULT_MAX_STEPS)
+}
+
+/// Run `f` with every [`crate::FilterExplorer::builder`] on this thread
+/// defaulting to `max_steps` instructions per path.
 ///
 /// This is the fault-injection hook for solver-budget exhaustion:
-/// callers that build their executor through `Default` (the module
-/// analysis pipeline does) see the clamped budget, so paths abort with
-/// "step budget exhausted" instead of completing. The previous
-/// override is restored on exit, including on unwind.
+/// callers that build their explorer with the default budget (the
+/// module analysis pipeline does) see the clamped budget, so paths
+/// abort with "step budget exhausted" instead of completing. The
+/// previous override is restored on exit, including on unwind.
 pub fn with_step_budget<R>(max_steps: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -202,147 +182,9 @@ pub fn with_step_budget<R>(max_steps: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-impl SymExec {
-    /// Analyze the filter function entered at `entry`.
-    ///
-    /// The harness models the Windows x64 C-specific-handler filter ABI:
-    /// `rcx = PEXCEPTION_POINTERS`, `rdx = establisher frame`, and the
-    /// return value in `eax` decides handling.
-    pub fn analyze_filter(&self, code: &dyn CodeSource, entry: u64) -> FilterAnalysis {
-        // Advisory span: whether this solver call happens at all can
-        // depend on scheduling (another worker may populate the shared
-        // verdict cache first), so it must not join the deterministic
-        // event sequence.
-        let mut span = cr_trace::span_advisory(cr_trace::Stage::Symex, "filter.vet");
-        let analysis = self.analyze_filter_inner(code, entry);
-        span.set_detail(|| {
-            let verdict = match analysis.verdict {
-                FilterVerdict::AcceptsAccessViolation { .. } => "accepts_av",
-                FilterVerdict::RejectsAccessViolation => "rejects_av",
-                FilterVerdict::Unknown(_) => "unknown",
-            };
-            format!(
-                "steps={} budget={} completed={} aborted={} verdict={verdict}",
-                analysis.steps,
-                self.max_steps,
-                analysis.completed_paths,
-                analysis.aborted_paths.len(),
-            )
-        });
-        analysis
-    }
-
-    fn analyze_filter_inner(&self, code: &dyn CodeSource, entry: u64) -> FilterAnalysis {
-        let mut pending = vec![SymState::filter_harness(entry)];
-        let mut ends = Vec::new();
-        let mut total_steps = 0usize;
-        let mut paths = 0usize;
-        let mut fresh = 0u32;
-
-        while let Some(mut st) = pending.pop() {
-            if paths >= self.max_paths {
-                ends.push(PathEnd::Aborted("path budget exhausted"));
-                break;
-            }
-            let end = loop {
-                if st.steps >= self.max_steps {
-                    break PathEnd::Aborted("step budget exhausted");
-                }
-                let mut bytes = [0u8; 15];
-                let n = code.read_code(st.rip, &mut bytes);
-                if n == 0 {
-                    break PathEnd::Aborted("fell off code");
-                }
-                let Ok(d) = decode(&bytes[..n]) else {
-                    break PathEnd::Aborted("undecodable instruction");
-                };
-                st.steps += 1;
-                total_steps += 1;
-                match step_inst(&mut st, &d.inst, d.len, &mut fresh, false) {
-                    StepOut::Continue => {}
-                    StepOut::Fork(cond) => {
-                        // True branch.
-                        let next = st.rip.wrapping_add(d.len as u64);
-                        let Inst::Jcc { rel, .. } = d.inst else {
-                            unreachable!()
-                        };
-                        let mut taken = st.clone();
-                        taken.path.push(cond.clone());
-                        taken.rip = next.wrapping_add(rel as i64 as u64);
-                        pending.push(taken);
-                        st.path.push(BoolExpr::not(cond));
-                        st.rip = next;
-                    }
-                    StepOut::End(e) => break e,
-                }
-            };
-            paths += 1;
-            ends.push(end);
-        }
-
-        let mut completed = 0usize;
-        let mut aborted = Vec::new();
-        let mut accept_witness = None;
-        let mut any_unknown_solver = false;
-        // The AV pin is path-independent; build it once and share the
-        // `Rc` DAG across every per-path query.
-        let code_is_av = BoolExpr::cmp(
-            CmpOp::Eq,
-            32,
-            Expr::var(CODE_VAR, 32),
-            Expr::c(EXCEPTION_ACCESS_VIOLATION),
-        );
-        for end in &ends {
-            match end {
-                PathEnd::Aborted(r) => aborted.push(*r),
-                PathEnd::Ret { value, path } => {
-                    completed += 1;
-                    if accept_witness.is_some() {
-                        continue;
-                    }
-                    // Query: path ∧ code == AV ∧ eax != 0.
-                    let mut cs = path.clone();
-                    cs.push(code_is_av.clone());
-                    cs.push(BoolExpr::cmp(CmpOp::Ne, 32, value.clone(), Expr::c(0)));
-                    match check(&cs) {
-                        SatResult::Sat(m) => {
-                            accept_witness = Some(m.get(CODE_VAR));
-                        }
-                        SatResult::Unsat => {}
-                        SatResult::Unknown(_) => any_unknown_solver = true,
-                    }
-                }
-            }
-        }
-
-        let verdict = match accept_witness {
-            Some(witness_code) => FilterVerdict::AcceptsAccessViolation { witness_code },
-            None if !aborted.is_empty() => FilterVerdict::Unknown(aborted[0]),
-            None if any_unknown_solver => FilterVerdict::Unknown("solver gave up"),
-            None if completed == 0 => FilterVerdict::Unknown("no complete path"),
-            None => FilterVerdict::RejectsAccessViolation,
-        };
-        FilterAnalysis {
-            verdict,
-            completed_paths: completed,
-            aborted_paths: aborted,
-            steps: total_steps,
-        }
-    }
-}
-
-/// Execute one instruction against `st`, shared by the single-shot
-/// executor and the path explorer. `widen` selects the memory-widening
-/// read model (see [`load`]): the explorer passes `true`, the
-/// single-shot reference keeps its historical `false` behavior so
-/// differential tests pin the divergence.
-pub(crate) fn step_inst(
-    st: &mut SymState,
-    inst: &Inst,
-    len: usize,
-    fresh: &mut u32,
-    widen: bool,
-) -> StepOut {
+/// Execute one instruction against `st`. `fresh` numbers the symbolic
+/// variables that model never-written memory.
+pub(crate) fn step_inst(st: &mut SymState, inst: &Inst, len: usize, fresh: &mut u32) -> StepOut {
     let next = st.rip.wrapping_add(len as u64);
     macro_rules! abort {
         ($r:expr) => {
@@ -366,7 +208,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => width_read(st.reg(r), width),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, width, fresh, widen)
+                    load(st, ea, width, fresh)
                 }
             };
             match width {
@@ -410,7 +252,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => width_read(st.reg(r), Width::B1),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, Width::B1, fresh, widen)
+                    load(st, ea, Width::B1, fresh)
                 }
             };
             st.set_reg(dst, v);
@@ -430,7 +272,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => width_read(st.reg(r), width),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, width, fresh, widen)
+                    load(st, ea, width, fresh)
                 }
             };
             st.flags = Some(FlagsDef {
@@ -454,7 +296,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => width_read(st.reg(r), width),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, width, fresh, widen)
+                    load(st, ea, width, fresh)
                 }
             };
             st.flags = Some(FlagsDef {
@@ -485,7 +327,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => width_read(st.reg(r), width),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, width, fresh, widen)
+                    load(st, ea, width, fresh)
                 }
             };
             st.flags = Some(FlagsDef {
@@ -539,7 +381,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => st.reg(r),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, Width::B8, fresh, widen)
+                    load(st, ea, Width::B8, fresh)
                 }
             };
             match (a.as_const(), b.as_const()) {
@@ -555,7 +397,7 @@ pub(crate) fn step_inst(
                 Rm::Reg(r) => st.reg(r),
                 Rm::Mem(m) => {
                     let ea = conc_ea!(&m);
-                    load(st, ea, Width::B8, fresh, widen)
+                    load(st, ea, Width::B8, fresh)
                 }
             };
             let Some(fd) = st.flags.clone() else {
@@ -586,7 +428,7 @@ pub(crate) fn step_inst(
                 Some(v) => v,
                 None => abort!("symbolic stack pointer"),
             };
-            let v = load(st, sp, Width::B8, fresh, widen);
+            let v = load(st, sp, Width::B8, fresh);
             st.set_reg(r, v);
             st.set_reg(Reg::Rsp, Expr::c(sp.wrapping_add(8)));
         }
@@ -629,10 +471,7 @@ pub(crate) fn step_inst(
         }
         Inst::Ret => {
             let value = width_read(st.reg(Reg::Rax), Width::B4);
-            return StepOut::End(PathEnd::Ret {
-                value,
-                path: st.path.clone(),
-            });
+            return StepOut::End(PathEnd::Ret(value));
         }
         Inst::Syscall | Inst::Int3 | Inst::Ud2 | Inst::Hlt | Inst::Cpuid => {
             abort!("system instruction in filter")
@@ -695,36 +534,32 @@ fn ea_symbolic(st: &SymState, m: &MemOp, next: u64) -> Rc<Expr> {
     e
 }
 
-fn load(st: &mut SymState, ea: u64, w: Width, fresh: &mut u32, widen: bool) -> Rc<Expr> {
+/// Read `w` bytes at `ea`. A narrower stored value keeps its bits and
+/// only the uncovered high bits become fresh symbolic memory, so a
+/// 32-bit spill read back at 64 bits still carries its constraint.
+/// Never-written memory is a fresh unconstrained variable
+/// (over-approximation).
+fn load(st: &mut SymState, ea: u64, w: Width, fresh: &mut u32) -> Rc<Expr> {
     let want = width_bits(w);
-    if let Some((e, bits)) = st.mem.get(&ea).cloned() {
-        if bits >= want {
-            return width_read(e, w);
-        }
-        if widen {
-            // A narrower value is stored at `ea`: keep its bits and
-            // model only the uncovered high bits as fresh symbolic
-            // memory. The non-widening mode below instead discards the
-            // stored value entirely — a store-forwarding soundness hole
-            // (a 32-bit spill read back at 64 bits loses the
-            // constraint) that the explorer closes and the single-shot
-            // executor preserves as the differential reference.
-            *fresh += 1;
-            let hi = Expr::var(&format!("mem_{ea:x}_{fresh}"), want);
-            let lo = Expr::bin(BinOp::And, e, Expr::c((1u64 << bits) - 1));
-            let composed = Expr::bin(
-                BinOp::Or,
-                Expr::bin(BinOp::Shl, hi, Expr::c(u64::from(bits))),
-                lo,
-            );
-            let v = width_read(composed, w);
-            st.mem.insert(ea, (v.clone(), want));
-            return v;
+    let stored = st.mem.get(&ea).cloned();
+    if let Some((e, bits)) = &stored {
+        if *bits >= want {
+            return width_read(e.clone(), w);
         }
     }
-    // Unknown memory: fresh unconstrained variable (over-approximation).
     *fresh += 1;
-    let v = Expr::var(&format!("mem_{ea:x}_{fresh}"), want);
+    let mut v = Expr::var(&format!("mem_{ea:x}_{fresh}"), want);
+    if let Some((e, bits)) = stored {
+        let lo = Expr::bin(BinOp::And, e, Expr::c((1u64 << bits) - 1));
+        v = width_read(
+            Expr::bin(
+                BinOp::Or,
+                Expr::bin(BinOp::Shl, v, Expr::c(u64::from(bits))),
+                lo,
+            ),
+            w,
+        );
+    }
     st.mem.insert(ea, (v.clone(), want));
     v
 }
@@ -835,7 +670,9 @@ mod tests {
 
     fn analyze(code: &(u64, Vec<u8>)) -> FilterVerdict {
         let src = (code.0, code.1.as_slice());
-        SymExec::default().analyze_filter(&src, code.0).verdict
+        crate::FilterExplorer::default()
+            .explore(&src, code.0)
+            .verdict
     }
 
     /// Standard filter prologue: load ExceptionCode into eax.
@@ -1102,18 +939,18 @@ mod tests {
 
     #[test]
     fn step_budget_override_scopes_and_restores() {
-        assert_eq!(SymExec::default().max_steps, 512);
+        assert_eq!(default_max_steps(), 512);
         let inner = with_step_budget(4, || {
-            let nested = with_step_budget(2, || SymExec::default().max_steps);
+            let nested = with_step_budget(2, default_max_steps);
             assert_eq!(nested, 2);
-            SymExec::default().max_steps
+            default_max_steps()
         });
         assert_eq!(inner, 4);
-        assert_eq!(SymExec::default().max_steps, 512);
+        assert_eq!(default_max_steps(), 512);
 
         // Restored even when the closure unwinds.
         let _ = std::panic::catch_unwind(|| with_step_budget(1, || panic!("boom")));
-        assert_eq!(SymExec::default().max_steps, 512);
+        assert_eq!(default_max_steps(), 512);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Interned terms: hash-consed bitvector/boolean arenas and canonical
 //! query normalization.
 //!
-//! The [`crate::expr`] DAG is the construction-facing representation —
+//! The [`Expr`](crate::Expr) DAG is the construction-facing representation —
 //! cheap to build, `Rc`-shared, names as strings. The decision
 //! procedure, however, wants *identity*: equal subterms should be
 //! built once and compared by a `u32` id, so the bit-blaster can key
@@ -11,9 +11,9 @@
 //! * a process-wide **symbol interner** ([`sym_intern`]) mapping
 //!   variable names to dense [`SymId`]s (names are leaked once — the
 //!   population of distinct variable names is small and recurring);
-//! * a per-thread [`TermArena`] of hash-consed [`TermNode`]s and
+//! * a per-session [`TermArena`] of hash-consed [`TermNode`]s and
 //!   [`BoolNode`]s, whose smart constructors replicate the constant
-//!   folding of [`crate::expr`] exactly (memoized by construction:
+//!   folding of [`Expr`](crate::Expr) exactly (memoized by construction:
 //!   a folded node exists once, so folding work is never repeated);
 //! * [`TermArena::normalize`] — a canonical byte serialization of a
 //!   constraint set with variables renamed in first-occurrence order,
@@ -176,10 +176,10 @@ pub enum BoolNode {
 
 /// A hash-consing arena for bitvector and boolean terms.
 ///
-/// The arena is append-only and meant to persist across queries on a
-/// worker thread: terms shared between successive queries (the fixed
-/// harness variables, common comparison shapes) intern to the same id
-/// every time, so downstream id-keyed caches keep paying off.
+/// The arena is append-only and lives as long as one solver session:
+/// terms shared between the session's queries (the fixed harness
+/// variables, a path prefix shared by sibling paths) intern to the same
+/// id every time, so downstream id-keyed caches keep paying off.
 #[derive(Debug, Default)]
 pub struct TermArena {
     terms: Vec<TermNode>,
@@ -279,7 +279,7 @@ impl TermArena {
     }
 
     /// Smart binary constructor — the same folding rules as
-    /// [`crate::expr::Expr::bin`], so a query built through either
+    /// [`crate::Expr::bin`], so a query built through either
     /// front end lands on the same interned structure.
     pub fn bin(&mut self, op: BinOp, a: TermId, b: TermId) -> TermId {
         if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
@@ -321,7 +321,7 @@ impl TermArena {
     }
 
     /// Comparison constructor with constant folding (mirrors
-    /// [`crate::expr::BoolExpr::cmp`]).
+    /// [`crate::BoolExpr::cmp`]).
     pub fn cmp(&mut self, op: CmpOp, width: u32, a: TermId, b: TermId) -> BoolId {
         if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
             let m = mask_of(width);
@@ -386,7 +386,7 @@ impl TermArena {
     /// normalized index in first-occurrence order, then serializes the
     /// DAG over those indices. Two constraint sets produce the same key
     /// iff they are structurally identical up to variable renaming —
-    /// arena ids (which encode per-thread interning history) never
+    /// arena ids (which encode per-arena interning history) never
     /// appear in the key.
     pub fn normalize(&self, roots: &[BoolId]) -> QueryShape {
         let mut shape = QueryShape {

@@ -1,13 +1,11 @@
-//! Property tests for the bit-blasting solver: every SAT model must
-//! actually satisfy the constraints, satisfiable-by-construction
-//! formulas must come back SAT, and the interned pipeline must agree
-//! with the retained reference pipeline (old blaster + scan-all DPLL)
-//! on both raw CNF and full constraint-set queries.
+//! Property tests for the decision procedure against oracles that
+//! share no code with it: every SAT model must satisfy its constraints
+//! under this file's own evaluator, satisfiable-by-construction
+//! formulas must come back SAT, and on inputs small enough to enumerate
+//! (CNFs of at most 10 variables, constraint sets over 16 free input
+//! bits) every verdict must match exhaustive enumeration.
 
-use cr_symex::{
-    check, check_reference, solve, solve_reference, BinOp, BoolExpr, CmpOp, Cnf, Expr, SatResult,
-    SolveOutcome,
-};
+use cr_symex::{check, BinOp, BoolExpr, CmpOp, Cnf, Expr, IncrementalSat, SatResult, SolveOutcome};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -20,15 +18,22 @@ enum ExprAst {
 }
 
 impl ExprAst {
+    /// The expression over 32-bit variables `v0..v3`.
     fn build(&self) -> Rc<Expr> {
+        self.build_at(32)
+    }
+
+    /// The expression over `bits`-wide variables `v0..v3`.
+    fn build_at(&self, bits: u32) -> Rc<Expr> {
         match self {
-            ExprAst::Var(i) => Expr::var(&format!("v{i}"), 32),
+            ExprAst::Var(i) => Expr::var(&format!("v{i}"), bits),
             ExprAst::Const(c) => Expr::c(*c & 0xFFFF_FFFF),
-            ExprAst::Bin(op, a, b) => Expr::bin(*op, a.build(), b.build()),
-            ExprAst::Not(a) => Expr::not(a.build()),
+            ExprAst::Bin(op, a, b) => Expr::bin(*op, a.build_at(bits), b.build_at(bits)),
+            ExprAst::Not(a) => Expr::not(a.build_at(bits)),
         }
     }
 
+    /// Concrete value with `v<i> = vals[i]`, at 64 bits like `Expr`.
     fn eval(&self, vals: &[u64; 4]) -> u64 {
         match self {
             ExprAst::Var(i) => vals[*i as usize % 4] & 0xFFFF_FFFF,
@@ -72,9 +77,75 @@ fn arb_binop() -> impl Strategy<Value = BinOp> {
     ]
 }
 
+/// `width`-bit comparison of two concrete values.
+fn cmp_holds(op: CmpOp, width: u32, x: u64, y: u64) -> bool {
+    let mask = if width == 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    };
+    let (x, y) = (x & mask, y & mask);
+    let signed = |v: u64| ((v << (64 - width)) as i64) >> (64 - width);
+    match op {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Ult => x < y,
+        CmpOp::Slt => signed(x) < signed(y),
+    }
+}
+
+fn arb_cmp() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Ult),
+        Just(CmpOp::Slt),
+    ]
+}
+
+/// A comparison of two expressions over `v0` and `v1` at 8, 16 or 32
+/// bits.
+#[derive(Debug, Clone)]
+struct CmpAst {
+    op: CmpOp,
+    width: u32,
+    a: ExprAst,
+    b: ExprAst,
+}
+
+impl CmpAst {
+    fn build(&self, bits: u32) -> BoolExpr {
+        BoolExpr::cmp(
+            self.op,
+            self.width,
+            self.a.build_at(bits),
+            self.b.build_at(bits),
+        )
+    }
+
+    fn holds(&self, vals: &[u64; 4]) -> bool {
+        cmp_holds(self.op, self.width, self.a.eval(vals), self.b.eval(vals))
+    }
+}
+
+fn arb_narrow_cmp() -> impl Strategy<Value = CmpAst> {
+    (
+        arb_cmp(),
+        prop_oneof![Just(8u32), Just(16), Just(32)],
+        arb_expr_over(2),
+        arb_expr_over(2),
+    )
+        .prop_map(|(op, width, a, b)| CmpAst { op, width, a, b })
+}
+
 fn arb_expr() -> impl Strategy<Value = ExprAst> {
+    arb_expr_over(4)
+}
+
+/// Random expressions over the variables `v0..v{vars}`.
+fn arb_expr_over(vars: u8) -> impl Strategy<Value = ExprAst> {
     let leaf = prop_oneof![
-        (0u8..4).prop_map(ExprAst::Var),
+        (0u8..vars).prop_map(ExprAst::Var),
         any::<u32>().prop_map(|c| ExprAst::Const(c as u64)),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
@@ -146,94 +217,93 @@ proptest! {
         }
     }
 
-    /// The watched-literal solver and the retained scan-all reference
-    /// solver must agree on SAT/UNSAT for random CNF instances. Models
-    /// may legitimately differ, so each is validated against the
-    /// formula rather than compared to the other.
+    /// `IncrementalSat` against enumeration of every assignment: a
+    /// random CNF over at most 10 variables is decided with no
+    /// assumptions and then under random assumptions, on one solver
+    /// (so a query also checks that the previous one retracted). SAT
+    /// must hold exactly when some assignment satisfies every clause
+    /// and assumption, and every SAT model must be such an assignment.
     #[test]
-    fn watched_and_reference_dpll_agree_on_random_cnf(
-        num_vars in 1i32..=8,
+    fn incremental_sat_agrees_with_enumeration_on_random_cnf(
+        num_vars in 1i32..=10,
         raw in proptest::collection::vec(
-            proptest::collection::vec((1i32..=8, any::<bool>()), 1..5),
+            proptest::collection::vec((1i32..=10, any::<bool>()), 1..5),
             0..24,
         ),
+        raw_assumptions in proptest::collection::vec(
+            proptest::collection::vec((1i32..=10, any::<bool>()), 0..4),
+            1..4,
+        ),
     ) {
+        let lit = |&(v, neg): &(i32, bool)| {
+            let v = (v - 1) % num_vars + 1;
+            if neg { -v } else { v }
+        };
+        let clauses: Vec<Vec<i32>> = raw.iter().map(|cl| cl.iter().map(lit).collect()).collect();
         let mut cnf = Cnf::new();
         cnf.num_vars = num_vars as usize;
-        let clauses: Vec<Vec<i32>> = raw
-            .iter()
-            .map(|cl| {
-                cl.iter()
-                    .map(|&(v, neg)| {
-                        let v = (v - 1) % num_vars + 1;
-                        if neg { -v } else { v }
-                    })
-                    .collect()
-            })
-            .collect();
         for cl in &clauses {
             cnf.clause(cl);
         }
-        let new = solve(&cnf);
-        let old = solve_reference(&cnf);
-        // Instances this small never exhaust either budget.
-        prop_assert_eq!(
-            std::mem::discriminant(&new),
-            std::mem::discriminant(&old),
-            "watched={:?} reference={:?}",
-            new,
-            old
-        );
-        for outcome in [&new, &old] {
-            if let SolveOutcome::Sat(model) = outcome {
-                for cl in &clauses {
+        let holds = |l: i32, bits: u32| ((bits >> (l.unsigned_abs() - 1)) & 1 == 1) == (l > 0);
+        let satisfies =
+            |bits: u32, assumed: &[i32]| {
+                clauses.iter().all(|cl| cl.iter().any(|&l| holds(l, bits)))
+                    && assumed.iter().all(|&l| holds(l, bits))
+            };
+        let mut solver = IncrementalSat::new();
+        solver.absorb(&cnf);
+        let queries = std::iter::once(Vec::new())
+            .chain(raw_assumptions.iter().map(|a| a.iter().map(lit).collect::<Vec<i32>>()));
+        for assumed in queries {
+            let truth = (0u32..1 << num_vars).any(|bits| satisfies(bits, &assumed));
+            match solver.solve_under(&assumed) {
+                SolveOutcome::Sat(model) => {
+                    prop_assert_eq!(model.len(), num_vars as usize);
+                    let bits = model
+                        .iter()
+                        .enumerate()
+                        .fold(0u32, |acc, (i, &v)| acc | (u32::from(v) << i));
                     prop_assert!(
-                        cl.iter().any(|&l| {
-                            let val = model[(l.unsigned_abs() - 1) as usize];
-                            (l > 0) == val
-                        }),
-                        "model fails clause {:?}",
-                        cl
+                        satisfies(bits, &assumed),
+                        "model {:?} fails {:?} under {:?}",
+                        model,
+                        clauses,
+                        assumed
                     );
+                }
+                SolveOutcome::Unsat => {
+                    prop_assert!(!truth, "UNSAT but satisfiable: {:?} under {:?}", clauses, assumed);
+                }
+                SolveOutcome::BudgetExhausted => {
+                    prop_assert!(false, "10-variable instance exhausted the budget");
                 }
             }
         }
     }
 
-    /// Full-pipeline differential: `check` (interned arena + watched
-    /// solver + memo) and `check_reference` (old Rc-pointer blaster +
-    /// scan-all DPLL) must return the same verdict for pinned queries,
-    /// which are always in-budget for both solvers.
+    /// `check` against exhaustive enumeration: two comparisons over two
+    /// 8-bit variables (16 free input bits) are SAT exactly when some
+    /// assignment satisfies both under this file's evaluator, and
+    /// every SAT model is such an assignment.
     #[test]
-    fn check_agrees_with_reference_on_pinned_queries(
-        ast in arb_expr(),
-        vals in proptest::array::uniform4(any::<u32>()),
-        off in 0u64..2,
+    fn check_agrees_with_enumeration_on_narrow_widths(
+        first in arb_narrow_cmp(),
+        second in arb_narrow_cmp(),
     ) {
-        let vals64 = [vals[0] as u64, vals[1] as u64, vals[2] as u64, vals[3] as u64];
-        let target = (ast.eval(&vals64).wrapping_add(off)) & 0xFFFF_FFFF;
-        let mut cs: Vec<BoolExpr> = (0..4)
-            .map(|i| {
-                BoolExpr::cmp(CmpOp::Eq, 32, Expr::var(&format!("v{i}"), 32), Expr::c(vals64[i]))
-            })
-            .collect();
-        cs.push(BoolExpr::cmp(CmpOp::Eq, 32, ast.build(), Expr::c(target)));
-        let new = check(&cs);
-        let old = check_reference(&cs);
-        prop_assert_eq!(
-            std::mem::discriminant(&new),
-            std::mem::discriminant(&old),
-            "new={:?} old={:?}",
-            new,
-            old
-        );
-        // off == 0 pins the expression to its concrete value: SAT.
-        prop_assert_eq!(new.is_sat(), off == 0);
-        if let (SatResult::Sat(mn), SatResult::Sat(mo)) = (&new, &old) {
-            for c in &cs {
-                prop_assert!(c.eval(&|n| mn.get(n)));
-                prop_assert!(c.eval(&|n| mo.get(n)));
+        let holds = |v0: u64, v1: u64| {
+            let vals = [v0, v1, 0, 0];
+            first.holds(&vals) && second.holds(&vals)
+        };
+        let truth = (0..=0xFFu64).any(|v0| (0..=0xFFu64).any(|v1| holds(v0, v1)));
+        match check(&[first.build(8), second.build(8)]) {
+            SatResult::Sat(m) => {
+                let (v0, v1) = (m.get("v0"), m.get("v1"));
+                prop_assert!(v0 <= 0xFF && v1 <= 0xFF, "model exceeds 8 bits: {} {}", v0, v1);
+                prop_assert!(holds(v0, v1), "model v0={:#x} v1={:#x} fails", v0, v1);
             }
+            SatResult::Unsat => prop_assert!(!truth, "UNSAT but satisfiable"),
+            SatResult::Unknown(e) => prop_assert!(false, "undecided: {}", e),
         }
     }
 

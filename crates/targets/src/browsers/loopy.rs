@@ -1,25 +1,22 @@
 //! Calibrated loopy/multi-branch filter family.
 //!
-//! Four SEH filters built so that the single-shot symbolic pipeline
-//! ([`cr_symex::SymExec`]) *provably* gets at least one of them wrong
-//! while the path explorer ([`cr_symex::FilterExplorer`]) classifies
-//! all four correctly. Each case pins ground truth (does the filter
-//! accept an access violation on real hardware?) together with the
-//! single-shot pipeline's expected failure mode, so the regression
-//! tests can assert the divergence rather than merely observe it:
+//! Four SEH filters built around the idioms that defeat a naive
+//! symbolic executor, each with pinned ground truth (does the filter
+//! accept an access violation on real hardware?). The path explorer
+//! (`cr_symex::FilterExplorer`) must classify all four exactly:
 //!
 //! * `spill_widen` — spills the 32-bit exception code to the stack and
-//!   reloads it at 64 bits. The single-shot memory model drops the
-//!   stored value on the widening read and substitutes a fresh
-//!   unconstrained variable, so it reports an accept; in truth the low
-//!   32 bits still carry the code and an AV can never match.
+//!   reloads it at 64 bits. A memory model that drops the stored value
+//!   on the widening read substitutes a fresh unconstrained variable
+//!   and reports an accept; in truth the low 32 bits still carry the
+//!   code and an AV can never match.
 //! * `shrink_loop_reject` / `shrink_loop_accept` — shift the code
-//!   right until zero (a data-dependent loop), then compare. The
-//!   single-shot executor forks the loop until its path budget dies;
-//!   the explorer prunes the infeasible "stay" branch after 32
-//!   iterations and terminates.
-//! * `chain_exclude_av` — a comparison chain longer than the
-//!   single-shot path budget, with AV among the excluded codes.
+//!   right until zero (a data-dependent loop), then compare. Forking
+//!   without feasibility checks never closes the loop; the explorer
+//!   prunes the infeasible "stay" branch after 32 iterations and
+//!   terminates.
+//! * `chain_exclude_av` — a comparison chain of 70 forks, with AV among
+//!   the excluded codes.
 //!
 //! This family is deliberately **not** part of the calibrated §V-C
 //! population (the Table II/III totals are pinned); it ships as its own
@@ -37,20 +34,18 @@ use super::dlls::{DLL_REGION, DLL_STRIDE};
 /// population at `+0x100`).
 pub const LOOPY_BASE: u64 = DLL_REGION + 0x200 * DLL_STRIDE;
 
-/// Number of exclusion comparisons in `chain_exclude_av` — chosen to
-/// exceed the single-shot executor's 64-path budget.
+/// Number of exclusion comparisons in `chain_exclude_av` — more forks
+/// than a 64-path budget allows, so only feasibility pruning decides
+/// it.
 pub const CHAIN_LEN: u32 = 70;
 
-/// Ground truth (and pinned single-shot behavior) for one family member.
+/// Ground truth for one family member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopyCase {
     /// Filter name; also the PE export naming its entry point.
     pub name: &'static str,
     /// Ground truth: does the filter return nonzero for an AV?
     pub accepts_av: bool,
-    /// Whether the single-shot pipeline's verdict matches ground truth
-    /// (pinned, so regressions in either direction are caught).
-    pub single_shot_correct: bool,
 }
 
 /// The family, in filter-emission order (`Filter0..Filter3`).
@@ -58,26 +53,18 @@ pub const LOOPY_CASES: [LoopyCase; 4] = [
     LoopyCase {
         name: "spill_widen",
         accepts_av: false,
-        // Single-shot reports an accept: actively wrong, not just unknown.
-        single_shot_correct: false,
     },
     LoopyCase {
         name: "shrink_loop_reject",
         accepts_av: false,
-        // Single-shot burns its path budget: Unknown.
-        single_shot_correct: false,
     },
     LoopyCase {
         name: "shrink_loop_accept",
         accepts_av: true,
-        // Single-shot stumbles onto the witness before the budget dies.
-        single_shot_correct: true,
     },
     LoopyCase {
         name: "chain_exclude_av",
         accepts_av: false,
-        // 70 forks > 64-path budget: Unknown.
-        single_shot_correct: false,
     },
 ];
 
@@ -244,7 +231,7 @@ fn emit_shrink_loop(a: &mut Asm, accept_code: u32) {
     a.ret();
 }
 
-/// Exclusion chain longer than the single-shot path budget, with AV
+/// Exclusion chain of more forks than a 64-path budget allows, with AV
 /// among the excluded codes: accept everything except [`CHAIN_LEN`]
 /// specific codes. Truth: AV is excluded, so the filter rejects.
 fn emit_chain_exclude_av(a: &mut Asm) {

@@ -1,32 +1,29 @@
 //! Integration pins for the path-enumerating filter explorer.
 //!
 //! 1. The calibrated loopy/multi-branch family
-//!    ([`cr_targets::browsers::LOOPY_CASES`]) is the misclassification
-//!    regression: the single-shot pipeline provably gets the pinned
-//!    cases wrong (a mix of widened spill reloads and budget-burning
-//!    loop tails) while the explorer classifies every case correctly
-//!    under feasibility pruning.
-//! 2. A proptest drives random branchy filters through the incremental
-//!    explorer (hash-consed arena + watched-literal push/pop) and the
-//!    independent-blast explorer running on the retained reference
-//!    pipeline; merged and per-path results must be identical.
+//!    ([`cr_targets::browsers::LOOPY_CASES`]) must be classified
+//!    exactly: verdict, AV witness and no aborted path, for widened
+//!    spill reloads, data-dependent loops closed by feasibility pruning
+//!    and a comparison chain longer than 64 forks.
+//! 2. A proptest drives random branchy filters through the explorer and
+//!    checks every count it reports against an enumeration of the
+//!    generated decision tree over the codes and flag bits it names —
+//!    an oracle that shares no code with the explorer, its stepper or
+//!    its solver.
 
 use cr_image::{FilterRef, Machine, PeBuilder, PeImage, ScopeEntry};
 use cr_isa::{AluOp, Asm, Cond, Inst, Mem as M, Reg, Rm, Width};
-use cr_symex::{FilterExplorer, FilterVerdict, SymExec, EXCEPTION_ACCESS_VIOLATION};
+use cr_symex::{FilterExplorer, FilterVerdict, PathVerdict, EXCEPTION_ACCESS_VIOLATION};
 use cr_targets::browsers::{generate_loopy_dll, LOOPY_CASES};
 use proptest::prelude::*;
 
 #[test]
-fn loopy_family_pins_the_single_shot_misclassification() {
+fn loopy_family_is_classified_exactly() {
     let img = generate_loopy_dll();
     let code = cr_core::seh::PeCode::new(&img);
     let explorer = FilterExplorer::builder().build();
-    let mut single_shot_wrong = 0;
     for case in &LOOPY_CASES {
         let addr = img.image_base + u64::from(img.exports[case.name]);
-
-        // The explorer must be exact on every case.
         let report = explorer.explore(&code, addr);
         match (case.accepts_av, &report.verdict) {
             (true, FilterVerdict::AcceptsAccessViolation { witness_code }) => {
@@ -44,39 +41,30 @@ fn loopy_family_pins_the_single_shot_misclassification() {
             case.name,
             report.aborted_paths
         );
-
-        // The single-shot pipeline's correctness is pinned per case: if
-        // it ever starts getting a pinned-wrong case right (or vice
-        // versa), this calibration must be revisited.
-        let ss = SymExec::default().analyze_filter(&code, addr).verdict;
-        let ss_correct = matches!(
-            (case.accepts_av, &ss),
-            (true, FilterVerdict::AcceptsAccessViolation { .. })
-                | (false, FilterVerdict::RejectsAccessViolation)
-        );
-        assert_eq!(
-            ss_correct, case.single_shot_correct,
-            "single-shot on {}: {ss:?}",
-            case.name
-        );
-        if !ss_correct {
-            single_shot_wrong += 1;
-        }
     }
-    assert!(
-        single_shot_wrong >= 1,
-        "the family must keep at least one single-shot misclassification"
-    );
 }
 
 /// A random branchy (loop-free) exception filter; a trimmed version of
-/// the `filter_soundness` decision tree, here only to diversify path
-/// shapes for the per-path differential below.
+/// the `filter_soundness` decision tree.
 #[derive(Debug, Clone)]
 enum FilterAst {
     Ret(i32),
+    /// `if (code == k) { a } else { b }`
     IfCodeEq(u32, Box<FilterAst>, Box<FilterAst>),
+    /// `if (flags & mask) { a } else { b }`
     IfFlagsBit(u32, Box<FilterAst>, Box<FilterAst>),
+}
+
+/// One exception record as far as the tree can tell: `(code, flags)`.
+type Input = (u32, u32);
+
+/// What the explorer must report for a tree.
+#[derive(Debug, Default)]
+struct Expected {
+    /// `(verdict, depth)` of every completed path.
+    paths: Vec<(PathVerdict, usize)>,
+    /// Branches with exactly one feasible side.
+    pruned: usize,
 }
 
 impl FilterAst {
@@ -108,6 +96,74 @@ impl FilterAst {
                 t.emit(a);
                 a.bind(els);
                 e.emit(a);
+            }
+        }
+    }
+}
+
+impl FilterAst {
+    fn collect(&self, codes: &mut Vec<u32>, masks: &mut Vec<u32>) {
+        let (k, set, a, b) = match self {
+            FilterAst::Ret(_) => return,
+            FilterAst::IfCodeEq(k, a, b) => (k, &mut *codes, a, b),
+            FilterAst::IfFlagsBit(m, a, b) => (m, &mut *masks, a, b),
+        };
+        if !set.contains(k) {
+            set.push(*k);
+        }
+        a.collect(codes, masks);
+        b.collect(codes, masks);
+    }
+
+    /// One input per behaviour class: every code the tree names, the AV
+    /// code and one code it never names, crossed with every subset of
+    /// its flag masks. Each branch tests one code or one flag bit, so
+    /// any record follows the same path as one of these inputs.
+    fn domain(&self) -> Vec<Input> {
+        let (mut codes, mut masks) = (vec![EXCEPTION_ACCESS_VIOLATION as u32, 0], Vec::new());
+        self.collect(&mut codes, &mut masks);
+        let mut inputs = Vec::new();
+        for &code in &codes {
+            for subset in 0u32..1 << masks.len() {
+                let flags = (0..masks.len())
+                    .filter(|i| subset >> i & 1 == 1)
+                    .fold(0, |f, i| f | masks[i]);
+                inputs.push((code, flags));
+            }
+        }
+        inputs
+    }
+
+    /// Walk the tree as the explorer walks its code: `inputs` are the
+    /// records that reach this node at branch depth `depth`. A branch
+    /// forks when both sides are reachable and is pruned otherwise; a
+    /// leaf accepts an AV iff it returns non-zero and some reaching
+    /// record has the AV code.
+    fn enumerate(&self, inputs: &[Input], depth: usize, out: &mut Expected) {
+        let (then, els, (yes, no)): (_, _, (Vec<Input>, Vec<Input>)) = match self {
+            FilterAst::Ret(c) => {
+                let av = inputs
+                    .iter()
+                    .any(|&(code, _)| u64::from(code) == EXCEPTION_ACCESS_VIOLATION);
+                let verdict = if *c != 0 && av {
+                    PathVerdict::AcceptsAv {
+                        witness_code: EXCEPTION_ACCESS_VIOLATION,
+                    }
+                } else {
+                    PathVerdict::RejectsAv
+                };
+                out.paths.push((verdict, depth));
+                return;
+            }
+            FilterAst::IfCodeEq(k, a, b) => (a, b, inputs.iter().partition(|i| i.0 == *k)),
+            FilterAst::IfFlagsBit(m, a, b) => (a, b, inputs.iter().partition(|i| i.1 & m != 0)),
+        };
+        if yes.is_empty() || no.is_empty() {
+            out.pruned += 1;
+        }
+        for (branch, reach) in [(then, yes), (els, no)] {
+            if !reach.is_empty() {
+                branch.enumerate(&reach, depth + 1, out);
             }
         }
     }
@@ -190,35 +246,42 @@ fn build_module(ast: &FilterAst) -> PeImage {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Watched-vs-reference per-path differential: the incremental
-    /// explorer (production solver state) and the independent-blast
-    /// explorer running on the retained reference pipeline must agree
-    /// on the merged verdict and on every per-path record.
+    /// The incremental explorer against the reference explorer
+    /// `FilterAst::enumerate`, which walks the decision tree itself over
+    /// its enumerated inputs: merged verdict, completed paths, pruned
+    /// branches and the multiset of per-path `(verdict, depth)` records
+    /// must all match.
     #[test]
     fn incremental_and_reference_explorers_agree_per_path(ast in arb_filter()) {
         let img = build_module(&ast);
         let addr = img.image_base + u64::from(img.exports["Filter"]);
         let code = cr_core::seh::PeCode::new(&img);
-        let incremental = FilterExplorer::builder().build().explore(&code, addr);
-        let reference = cr_symex::with_reference_pipeline(|| {
-            FilterExplorer::builder()
-                .incremental(false)
-                .build()
-                .explore(&code, addr)
-        });
-        prop_assert_eq!(&incremental.verdict, &reference.verdict, "for {:?}", ast);
-        prop_assert_eq!(incremental.paths.len(), reference.paths.len());
-        for (p, q) in incremental.paths.iter().zip(&reference.paths) {
-            prop_assert_eq!(&p.verdict, &q.verdict);
-            prop_assert_eq!(p.steps, q.steps);
-            prop_assert_eq!(p.depth, q.depth);
-        }
-        prop_assert_eq!(incremental.completed_paths, reference.completed_paths);
-        prop_assert_eq!(&incremental.aborted_paths, &reference.aborted_paths);
-        prop_assert_eq!(incremental.pruned_branches, reference.pruned_branches);
-        prop_assert_eq!(incremental.steps, reference.steps);
-    }
+        let report = FilterExplorer::builder().build().explore(&code, addr);
 
+        let mut want = Expected::default();
+        ast.enumerate(&ast.domain(), 0, &mut want);
+        let accepts = want
+            .paths
+            .iter()
+            .any(|(v, _)| matches!(v, PathVerdict::AcceptsAv { .. }));
+        let want_verdict = if accepts {
+            FilterVerdict::AcceptsAccessViolation {
+                witness_code: EXCEPTION_ACCESS_VIOLATION,
+            }
+        } else {
+            FilterVerdict::RejectsAccessViolation
+        };
+        prop_assert_eq!(&report.verdict, &want_verdict, "for {:?}", ast);
+        prop_assert!(report.aborted_paths.is_empty(), "{:?}", report.aborted_paths);
+        prop_assert_eq!(report.completed_paths, want.paths.len(), "for {:?}", ast);
+        prop_assert_eq!(report.pruned_branches, want.pruned, "for {:?}", ast);
+        let sorted = |mut v: Vec<(PathVerdict, usize)>| {
+            v.sort_by_key(|p| format!("{p:?}"));
+            v
+        };
+        let got = report.paths.iter().map(|p| (p.verdict.clone(), p.depth)).collect();
+        prop_assert_eq!(sorted(got), sorted(want.paths), "for {:?}", ast);
+    }
 }

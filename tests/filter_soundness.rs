@@ -6,17 +6,22 @@
 //! 1. **ground truth** — direct evaluation of the tree: does *any*
 //!    exception record with `code == EXCEPTION_ACCESS_VIOLATION` make it
 //!    return non-zero?
-//! 2. **symbolic execution** — `cr-symex`'s verdict on the compiled code;
+//! 2. **symbolic execution** — the [`FilterExplorer`] verdict on the
+//!    compiled code;
 //! 3. **dynamic dispatch** — wiring the compiled filter into a PE scope
 //!    table and taking a real fault (concrete flags = 0): survival must
 //!    match evaluation of the tree at flags = 0, and symex-rejection must
 //!    imply a crash.
+//!
+//! Neither oracle shares code with the explorer: the tree is evaluated
+//! directly, and the fault is dispatched by the `cr-os` Windows model
+//! running the code on `cr-vm`.
 
 use cr_image::{FilterRef, Machine, PeBuilder, PeImage, ScopeEntry};
 use cr_isa::{AluOp, Asm, Cond, Inst, Mem as M, Reg, Rm, Width};
 use cr_os::windows::api::ApiTable;
 use cr_os::windows::{CallOutcome, WinProc};
-use cr_symex::{FilterVerdict, SymExec, EXCEPTION_ACCESS_VIOLATION};
+use cr_symex::{FilterExplorer, FilterVerdict, EXCEPTION_ACCESS_VIOLATION};
 use cr_vm::NullHook;
 use proptest::prelude::*;
 
@@ -258,9 +263,14 @@ proptest! {
             })
             .unwrap();
         let code = cr_core::seh::PeCode::new(&img);
-        let verdict = SymExec::default().analyze_filter(&code, BASE + filter_rva as u64).verdict;
+        let verdict = FilterExplorer::builder()
+            .build()
+            .explore(&code, BASE + filter_rva as u64)
+            .verdict;
         match (&verdict, truth) {
-            (FilterVerdict::AcceptsAccessViolation { .. }, true) => {}
+            (FilterVerdict::AcceptsAccessViolation { witness_code }, true) => {
+                prop_assert_eq!(*witness_code, EXCEPTION_ACCESS_VIOLATION);
+            }
             (FilterVerdict::RejectsAccessViolation, false) => {}
             (v, t) => prop_assert!(false, "symex {v:?} vs ground truth accepts={t} for {ast:?}"),
         }
@@ -283,31 +293,4 @@ proptest! {
         }
     }
 
-    /// Pipeline differential: the interned decision procedure (term
-    /// arena + watched-literal DPLL + normalized-query memo) and the
-    /// retained reference pipeline (Rc-pointer blaster + scan-all DPLL)
-    /// must produce identical analyses for random compiled filters.
-    /// Filter queries are tiny, so both solvers stay in budget.
-    #[test]
-    fn old_and_new_pipelines_agree_on_filter_verdicts(ast in arb_filter()) {
-        let img = build_module(&ast);
-        let filter_rva = img
-            .runtime_functions
-            .iter()
-            .flat_map(|rf| rf.unwind.scopes.iter())
-            .find_map(|s| match s.filter {
-                FilterRef::Function(rva) => Some(rva),
-                _ => None,
-            })
-            .unwrap();
-        let code = cr_core::seh::PeCode::new(&img);
-        let addr = BASE + filter_rva as u64;
-        let new = SymExec::default().analyze_filter(&code, addr);
-        let old =
-            cr_symex::with_reference_pipeline(|| SymExec::default().analyze_filter(&code, addr));
-        prop_assert_eq!(&new.verdict, &old.verdict, "pipeline divergence for {:?}", ast);
-        prop_assert_eq!(new.completed_paths, old.completed_paths);
-        prop_assert_eq!(&new.aborted_paths, &old.aborted_paths);
-        prop_assert_eq!(new.steps, old.steps);
-    }
 }
