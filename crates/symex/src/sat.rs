@@ -131,6 +131,12 @@ fn slot(lit: i32) -> usize {
 /// with no open decision frame is UNSAT under the assumptions. The
 /// trail is fully undone before `solve_under` returns, leaving the
 /// state quiescent for the next absorb/solve round.
+///
+/// The decision order is ranked incrementally, not rebuilt: `absorb`
+/// records each new variable and each variable whose count moved, and
+/// the next solve sorts only those and merges them into the kept
+/// order, which yields exactly the full sort. A solve after an absorb
+/// that moved no count skips the rank.
 pub struct IncrementalSat {
     /// 0 = unassigned, 1 = true, 2 = false; indexed by variable − 1.
     assign: Vec<u8>,
@@ -152,9 +158,13 @@ pub struct IncrementalSat {
     absorbed: usize,
     /// Occurrence counts per variable (0-based), for decision order.
     counts: Vec<u32>,
-    /// Static activity order over all variables; rebuilt when stale.
+    /// Activity order over the variables ranked so far.
     order: Vec<u32>,
-    order_stale: bool,
+    /// Variables to rank at the next solve: new ones and those whose
+    /// count moved since the last rank, each listed once.
+    moved: Vec<u32>,
+    /// Membership flags for `moved`, indexed by variable − 1.
+    is_moved: Vec<bool>,
 }
 
 impl Default for IncrementalSat {
@@ -178,7 +188,8 @@ impl IncrementalSat {
             absorbed: 0,
             counts: Vec::new(),
             order: Vec::new(),
-            order_stale: false,
+            moved: Vec::new(),
+            is_moved: Vec::new(),
         }
     }
 
@@ -198,9 +209,12 @@ impl IncrementalSat {
         debug_assert!(self.trail.is_empty(), "absorb requires a quiescent solver");
         debug_assert!(cnf.num_clauses() >= self.absorbed, "source Cnf shrank");
         if cnf.num_vars > self.assign.len() {
+            self.moved
+                .extend(self.assign.len() as u32..cnf.num_vars as u32);
             self.assign.resize(cnf.num_vars, 0);
             self.watches.resize(2 * cnf.num_vars, Vec::new());
             self.counts.resize(cnf.num_vars, 0);
+            self.is_moved.resize(cnf.num_vars, true);
         }
         let mut tmp: Vec<i32> = Vec::new();
         for i in self.absorbed..cnf.num_clauses() {
@@ -224,7 +238,12 @@ impl IncrementalSat {
                 continue;
             }
             for &l in &tmp {
-                self.counts[l.unsigned_abs() as usize - 1] += 1;
+                let v = l.unsigned_abs() as usize - 1;
+                self.counts[v] += 1;
+                if !self.is_moved[v] {
+                    self.is_moved[v] = true;
+                    self.moved.push(v as u32);
+                }
             }
             match tmp.len() {
                 0 => self.conflict_at_root = true,
@@ -240,7 +259,41 @@ impl IncrementalSat {
             }
         }
         self.absorbed = cnf.num_clauses();
-        self.order_stale = true;
+    }
+
+    /// Bring `order` up to date with `counts`: sort the moved variables
+    /// alone, drop them from the kept order and merge the two sorted
+    /// runs in place. Both runs are sorted by the same total key, so the
+    /// result equals a full sort, and nothing is allocated once the
+    /// vectors have grown to the session's size.
+    fn rerank(&mut self) {
+        let counts = &self.counts;
+        let key = |v: u32| (std::cmp::Reverse(counts[v as usize]), v);
+        self.moved.sort_unstable_by_key(|&v| key(v));
+        let is_moved = &self.is_moved;
+        self.order.retain(|&v| !is_moved[v as usize]);
+        // Merge from the back, so kept entries shift right in place.
+        let (mut i, mut j) = (self.order.len(), self.moved.len());
+        self.order.resize(i + j, 0);
+        while j > 0 {
+            let m = self.moved[j - 1];
+            if i > 0 && key(self.order[i - 1]) > key(m) {
+                self.order[i + j - 1] = self.order[i - 1];
+                i -= 1;
+            } else {
+                self.order[i + j - 1] = m;
+                j -= 1;
+            }
+        }
+        for &v in &self.moved {
+            self.is_moved[v as usize] = false;
+        }
+        self.moved.clear();
+        debug_assert!(
+            self.order.len() == self.counts.len()
+                && self.order.windows(2).all(|w| key(w[0]) < key(w[1])),
+            "re-ranked order differs from a full sort"
+        );
     }
 
     fn value(&self, lit: i32) -> Option<bool> {
@@ -326,12 +379,8 @@ impl IncrementalSat {
             self.trail.is_empty(),
             "solve_under requires a quiescent solver"
         );
-        if self.order_stale {
-            let counts = &self.counts;
-            let mut order: Vec<u32> = (0..self.assign.len() as u32).collect();
-            order.sort_by_key(|&v| (std::cmp::Reverse(counts[v as usize]), v));
-            self.order = order;
-            self.order_stale = false;
+        if !self.moved.is_empty() {
+            self.rerank();
         }
         // Assumption level: root units and assumptions sit below every
         // decision frame, so the search can never flip them.
@@ -405,6 +454,7 @@ impl IncrementalSat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Decide `c` from scratch: a fresh solver, no assumptions.
     fn solve(c: &Cnf) -> SolveOutcome {
@@ -685,6 +735,57 @@ mod tests {
         let mut inc = IncrementalSat::new();
         inc.absorb(&c);
         assert_eq!(inc.solve_under(&[]), SolveOutcome::Unsat);
+    }
+
+    proptest! {
+        /// A random CNF absorbed in random chunks, with a solve under
+        /// random assumptions after each chunk: the incrementally ranked
+        /// order must equal a full sort of the counts, and every outcome
+        /// must equal that of a fresh solver given the same clauses in
+        /// one absorb (same model, since the order decides the search).
+        #[test]
+        fn incremental_order_and_models_match_a_fresh_solver(
+            chunks in proptest::collection::vec(
+                (
+                    0usize..=4,
+                    proptest::collection::vec(
+                        proptest::collection::vec(
+                            (0usize..64, any::<bool>()),
+                            1..5,
+                        ),
+                        0..12,
+                    ),
+                    proptest::collection::vec(
+                        (0usize..64, any::<bool>()),
+                        0..4,
+                    ),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut c = Cnf::new();
+            let mut inc = IncrementalSat::new();
+            for (grow, clauses, assumed) in &chunks {
+                c.num_vars += grow + usize::from(c.num_vars == 0);
+                let n = c.num_vars;
+                let lit = |&(v, neg): &(usize, bool)| {
+                    let v = (v % n + 1) as i32;
+                    if neg { -v } else { v }
+                };
+                for cl in clauses {
+                    c.clause(&cl.iter().map(lit).collect::<Vec<i32>>());
+                }
+                let assumed: Vec<i32> = assumed.iter().map(lit).collect();
+                inc.absorb(&c);
+                let got = inc.solve_under(&assumed);
+                let mut full: Vec<u32> = (0..c.num_vars as u32).collect();
+                full.sort_by_key(|&v| (std::cmp::Reverse(inc.counts[v as usize]), v));
+                prop_assert_eq!(&inc.order, &full);
+                let mut fresh = IncrementalSat::new();
+                fresh.absorb(&c);
+                prop_assert_eq!(got, fresh.solve_under(&assumed), "under {:?}", assumed);
+            }
+        }
     }
 
     #[cfg(debug_assertions)]
